@@ -18,15 +18,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect, intersect_all
 from repro.geometry.region import FeasibleRegion, SlackToDistance
 from repro.library.cells import RegisterCell
 from repro.library.functional import FunctionalClass
+from repro.library.library import CellLibrary
 from repro.netlist.db import Cell
 from repro.netlist.design import Design
 from repro.netlist.registers import RegisterView
+from repro.netlist.store import DONT_TOUCH, FIXED, NO_ID, NetlistStore
 from repro.scan.model import ScanModel
 from repro.sta.timer import Timer
 
@@ -173,6 +176,45 @@ def feasible_region(
     return FeasibleRegion(rect, pinned=pinned)
 
 
+def composability(store: NetlistStore, cid: int, library: CellLibrary) -> str:
+    """Why register cell ``cid`` cannot be composed, or ``""`` when it can.
+
+    These are the exclusions of Section 5 — designer excluded
+    (``dont_touch``/``fixed``), no larger functionally-equivalent MBR in
+    the library, already the largest MBR of its class — plus an unclocked
+    register.  None of them depends on timing or geometry, so the test
+    reads the store's flag, libcell and pin-net columns and builds no
+    view: the composer and :func:`~repro.metrics.collect.collect_metrics`
+    run it over every register and pay for views and timing only on the
+    registers that pass.
+    """
+    flags = store.cell_flags[cid]
+    if flags & DONT_TOUCH:
+        return "designer excluded (dont_touch)"
+    if flags & FIXED:
+        return "designer excluded (fixed)"
+    rec = store.libs[store.cell_lib[cid]]
+    lc: RegisterCell = rec.libcell
+    max_width = library.max_width_for(lc.func_class)
+    if max_width <= lc.width_bits:
+        if max_width == 0:
+            return "no equivalent MBR in library"
+        return "already largest MBR of its class"
+    clock_slot = int(store.cell_pin0[cid]) + rec.pin_index[lc.clock_pin_name]
+    if store.pin_net[clock_slot] == NO_ID:
+        return "unclocked register"
+    return ""
+
+
+def composable_cell_ids(design: Design) -> Iterator[tuple[str, int]]:
+    """``(name, cell id)`` of every register that passes
+    :func:`composability`, in design order."""
+    store, library = design.store, design.library
+    for name, cid in store.cell_ids.items():
+        if store.cell_is_register(cid) and not composability(store, cid, library):
+            yield name, cid
+
+
 def analyze_register(
     design: Design,
     cell: Cell,
@@ -188,21 +230,11 @@ def analyze_register(
     every register of the design.
     """
     config = config or CompatibilityConfig()
-    lib = design.library
     lc: RegisterCell = cell.register_cell
     view = RegisterView(cell)
-    composable, reason = True, ""
-    if cell.dont_touch:
-        composable, reason = False, "designer excluded (dont_touch)"
-    elif cell.fixed:
-        composable, reason = False, "designer excluded (fixed)"
-    elif lib.max_width_for(lc.func_class) <= lc.width_bits:
-        if lib.max_width_for(lc.func_class) == 0:
-            composable, reason = False, "no equivalent MBR in library"
-        else:
-            composable, reason = False, "already largest MBR of its class"
-    elif view.clock_net is None:
-        composable, reason = False, "unclocked register"
+    store = design.store
+    reason = composability(store, store.cell_ids[cell.name], design.library)
+    composable = not reason
 
     center = cell.center
     info = RegisterInfo(
@@ -234,12 +266,35 @@ def analyze_registers(
     Registers are marked non-composable when (a) the designer excluded them
     (``dont_touch``/``fixed``), (b) no larger functionally-equivalent MBR
     exists in the library, or (c) they are already the largest MBR of their
-    class — the three exclusion reasons of Section 5.
+    class — the three exclusion reasons of Section 5.  The composition
+    engine analyzes only the composable ones
+    (:func:`analyze_composable_registers`).
     """
     config = config or CompatibilityConfig()
     return {
         cell.name: analyze_register(design, cell, timer, config)
         for cell in design.registers()
+    }
+
+
+def analyze_composable_registers(
+    design: Design,
+    timer: Timer,
+    config: CompatibilityConfig | None = None,
+) -> dict[str, RegisterInfo]:
+    """:func:`analyze_registers` restricted to the composable registers.
+
+    Equal to ``{n: i for n, i in analyze_registers(...).items() if
+    i.composable}``, but registers that fail :func:`composability` are
+    never viewed or timed — on a design whose registers are mostly frozen
+    this is the difference between analyzing the design and analyzing
+    the window.
+    """
+    config = config or CompatibilityConfig()
+    store = design.store
+    return {
+        name: analyze_register(design, store.cell_view(cid), timer, config)
+        for name, cid in composable_cell_ids(design)
     }
 
 

@@ -35,8 +35,9 @@ from repro.core.candidates import CandidateConfig, CandidateMBR, enumerate_candi
 from repro.core.compatibility import (
     CompatibilityConfig,
     RegisterInfo,
+    analyze_composable_registers,
     analyze_register,
-    analyze_registers,
+    composability,
     info_signature,
 )
 from repro.core.graph import build_compatibility_graph, patch_compatibility_graph
@@ -435,12 +436,19 @@ class ComposeState(FlowContext):
 def _stage_analyze(state: ComposeState):
     """(Re-)analyze the work-set's compatibility profiles.
 
-    Full mode (``dirty is None`` or no primed cache): every register, as
-    always.  Incremental mode: only the dirty registers are re-analyzed;
-    a refreshed info replaces the cached one only when its *content*
-    changed (clean registers keep their exact objects, so graph node
-    attributes stay consistent), and the set of actually-changed names is
-    handed to the graph stage.
+    Only registers that pass
+    :func:`~repro.core.compatibility.composability` get a
+    :class:`RegisterInfo`; the rest are never viewed or timed, and reach
+    the weights only as blockers, through the store-fed
+    :class:`~repro.core.weights.RegisterField`.
+
+    Full mode (``dirty is None`` or no primed cache): every composable
+    register.  Incremental mode: only the dirty registers are
+    re-analyzed; a refreshed info replaces the cached one only when its
+    *content* changed (clean registers keep their exact objects, so graph
+    node attributes stay consistent), a dirty register that is no longer
+    composable leaves ``infos`` like a removed one, and the set of
+    actually-changed names is handed to the graph stage.
     """
     from repro.core.weights import RegisterField
 
@@ -450,8 +458,8 @@ def _stage_analyze(state: ComposeState):
         and bool(state.cache.infos)
     )
     if not incremental:
-        state.infos = analyze_registers(
-            state.design, state.timer, state.scan_model, state.config.compatibility
+        state.infos = analyze_composable_registers(
+            state.design, state.timer, state.config.compatibility
         )
         state.analysis_changed = None
         if state.cache is not None:
@@ -464,15 +472,23 @@ def _stage_analyze(state: ComposeState):
             if infos.pop(name, None) is not None:
                 changed.add(name)
         refreshed = 0
+        store, library = state.design.store, state.design.library
         for name in sorted(state.dirty):
-            cell = state.design.cells.get(name)
-            if cell is None or not cell.is_register:
+            cid = store.cell_ids.get(name)
+            if (
+                cid is None
+                or not store.cell_is_register(cid)
+                or composability(store, cid, library)
+            ):
                 if infos.pop(name, None) is not None:
                     changed.add(name)
                 continue
             refreshed += 1
             fresh = analyze_register(
-                state.design, cell, state.timer, state.config.compatibility
+                state.design,
+                store.cell_view(cid),
+                state.timer,
+                state.config.compatibility,
             )
             old = infos.get(name)
             if old is None or info_signature(old) != info_signature(fresh):
@@ -481,10 +497,8 @@ def _stage_analyze(state: ComposeState):
         state.infos = infos
         state.analysis_changed = changed
     if state.pass_index == 0:
-        state.result.composable_registers = sum(
-            1 for i in state.infos.values() if i.composable
-        )
-    state.all_regs = RegisterField(list(state.infos.values()))
+        state.result.composable_registers = len(state.infos)
+    state.all_regs = RegisterField.from_design(state.design, state.infos)
     return {
         "registers": len(state.infos),
         "registers_recomputed": refreshed,

@@ -22,6 +22,7 @@ import numpy as np
 from repro.core.compatibility import RegisterInfo
 from repro.geometry.hull import convex_hull, hull_xy, point_in_convex_polygon
 from repro.geometry.point import Point
+from repro.netlist.design import Design
 
 KEEP_WEIGHT = 1.0
 """Weight of the "leave this register as it is" singleton candidate."""
@@ -33,19 +34,81 @@ class RegisterField:
     The weight pass evaluates tens of thousands of candidate polygons
     against every register of the design; holding the centers in numpy
     arrays turns each candidate's blocking count into a handful of
-    vector operations.
+    vector operations.  The field knows registers by name: ``names[j]``
+    is the register at field index ``j``, and blockers come back as names.
+
+    Every register blocks, composable or not (Fig. 2), but only the
+    composable ones are analyzed, so the composer builds the field with
+    :meth:`from_design`, straight from the netlist store.  The
+    constructor indexes a list of analyzed registers instead — the
+    reference the tests compare against.
     """
 
     def __init__(self, registers: list[RegisterInfo]) -> None:
-        self.registers = registers
         for i, r in enumerate(registers):
             r.field_index = i
-        if registers:
-            self.xs = np.array([r.center_xy[0] for r in registers])
-            self.ys = np.array([r.center_xy[1] for r in registers])
-        else:  # pragma: no cover - degenerate designs
-            self.xs = np.zeros(0)
-            self.ys = np.zeros(0)
+        fps = [r.cell.footprint for r in registers]
+        self._index(
+            [r.name for r in registers],
+            np.array([r.center_xy[0] for r in registers], dtype=float),
+            np.array([r.center_xy[1] for r in registers], dtype=float),
+            np.array([fp.xlo for fp in fps], dtype=float),
+            np.array([fp.ylo for fp in fps], dtype=float),
+            np.array([fp.xhi for fp in fps], dtype=float),
+            np.array([fp.yhi for fp in fps], dtype=float),
+        )
+
+    @classmethod
+    def from_design(
+        cls, design: Design, infos: dict[str, RegisterInfo]
+    ) -> "RegisterField":
+        """Index every live register of ``design`` from the store columns.
+
+        Centers and footprints use the float expressions of
+        :attr:`~repro.netlist.db.Cell.center` and
+        :attr:`~repro.netlist.db.Cell.footprint` (origin plus libcell
+        width, or half of it), so every blocker test sees exactly the
+        points a field built from analyzed registers would.  Each info of
+        ``infos`` gets its ``field_index``.
+        """
+        store = design.store
+        cids = np.fromiter(store.cell_ids.values(), dtype=np.int64, count=store.num_cells)
+        libs = store.cell_lib[cids]
+        is_register = np.array([rec.is_register for rec in store.libs], dtype=bool)
+        keep = is_register[libs]
+        cids, libs = cids[keep], libs[keep]
+        width = np.array([rec.libcell.width for rec in store.libs], dtype=float)[libs]
+        height = np.array([rec.libcell.height for rec in store.libs], dtype=float)[libs]
+        x = store.cell_x[cids]
+        y = store.cell_y[cids]
+        field = cls.__new__(cls)
+        field._index(
+            [store.cell_name[cid] for cid in cids.tolist()],
+            x + width / 2.0,
+            y + height / 2.0,
+            x,
+            y,
+            x + width,
+            y + height,
+        )
+        index = {name: j for j, name in enumerate(field.names)}
+        for name, info in infos.items():
+            info.field_index = index.get(name)
+        return field
+
+    def _index(
+        self,
+        names: list[str],
+        xs: np.ndarray,
+        ys: np.ndarray,
+        fxlo: np.ndarray,
+        fylo: np.ndarray,
+        fxhi: np.ndarray,
+        fyhi: np.ndarray,
+    ) -> None:
+        self.names = names
+        self.xs = xs
+        self.ys = ys
         # x-sorted view for the bounding-box prefilter: two binary searches
         # replace four full-field comparisons per candidate.
         self._xorder = np.argsort(self.xs, kind="stable").tolist()
@@ -54,17 +117,11 @@ class RegisterField:
         self._ys_list = self.ys.tolist()
         # Centers' y in x-sorted order: the prefilter walks this list
         # positionally, touching ``_xorder`` only for survivors.
-        self._ys_by_x = self.ys[self._xorder].tolist() if registers else []
-        self._ys_by_x_arr = self.ys[self._xorder] if registers else np.zeros(0)
+        self._ys_by_x_arr = self.ys[self._xorder]
+        self._ys_by_x = self._ys_by_x_arr.tolist()
         self._xorder_arr = np.array(self._xorder, dtype=np.intp)
         # Footprint extents by field index, for the batched bounding boxes.
-        if registers:
-            self._fxlo = np.array([r.cell.footprint.xlo for r in registers])
-            self._fylo = np.array([r.cell.footprint.ylo for r in registers])
-            self._fxhi = np.array([r.cell.footprint.xhi for r in registers])
-            self._fyhi = np.array([r.cell.footprint.yhi for r in registers])
-        else:  # pragma: no cover - degenerate designs
-            self._fxlo = self._fylo = self._fxhi = self._fyhi = np.zeros(0)
+        self._fxlo, self._fylo, self._fxhi, self._fyhi = fxlo, fylo, fxhi, fyhi
 
     def centers_in_box(
         self,
@@ -87,13 +144,13 @@ class RegisterField:
         return sorted(
             (float(self.xs[j]), float(self.ys[j]))
             for j in np.flatnonzero(mask)
-            if self.registers[j].name not in exclude
+            if self.names[j] not in exclude
         )
 
     def blockers(
         self, members: list[RegisterInfo], cap: int | None = None
-    ) -> list[RegisterInfo]:
-        """Registers strictly inside the members' test polygon.
+    ) -> list[str]:
+        """Names of the registers strictly inside the members' test polygon.
 
         The members' footprint bounding box prefilters the field; when no
         *foreign* register survives the box — the common case for clean
@@ -149,7 +206,7 @@ class RegisterField:
         yhi: float,
         same_row: bool,
         cap: int | None,
-    ) -> list[RegisterInfo]:
+    ) -> list[str]:
         """Interior test of :meth:`blockers`, shared with the batched path.
 
         ``idx`` are bounding-box survivors in ascending field order.
@@ -195,7 +252,7 @@ class RegisterField:
                     if not dx * (y - ay) - dy * (x - ax) > thr:
                         break  # on or outside this edge: not strict interior
                 else:
-                    out.append(self.registers[j])
+                    out.append(self.names[j])
                     if cap is not None and len(out) >= cap:
                         return out
             return out
@@ -207,7 +264,7 @@ class RegisterField:
             inside &= cross > thr  # strict interior
             if not inside.any():
                 return []
-        return [self.registers[j] for j in arr[inside]]
+        return [self.names[j] for j in arr[inside]]
 
     def blockers_count_batch(
         self, member_lists: list[list[RegisterInfo]], caps: list[int]
@@ -265,7 +322,7 @@ class RegisterField:
         reps = reps[in_y]
         j = self._xorder_arr[pos[in_y]]
         # Drop the candidates' own members via (candidate, register) keys.
-        nreg = len(self.registers)
+        nreg = len(self.names)
         lengths = np.diff(np.append(starts, len(flat)))
         mkeys = np.repeat(np.arange(nb), lengths) * nreg + flat_idx
         foreign = ~np.isin(reps * nreg + j, mkeys)
@@ -372,9 +429,9 @@ def test_polygon(members: list[RegisterInfo]) -> list[Point]:
 def blocking_registers(
     members: list[RegisterInfo],
     all_registers: list[RegisterInfo] | RegisterField,
-) -> list[RegisterInfo]:
-    """Registers (of any kind) whose center lies inside the test polygon and
-    that are not themselves members.
+) -> list[str]:
+    """Names of the registers (of any kind) whose center lies inside the
+    test polygon and that are not themselves members.
 
     Fig. 2's caption says "we check inside the surrounding polygon of the
     clique for the presence of other register" — *any* register competes for
@@ -396,7 +453,7 @@ def blocking_registers(
         xhi, yhi = max(xhi, fp.xhi), max(yhi, fp.yhi)
 
     polygon: list[Point] | None = None
-    blockers: list[RegisterInfo] = []
+    blockers: list[str] = []
     for info in all_registers:
         x, y = info.center_xy
         if not (xlo < x < xhi and ylo < y < yhi):
@@ -406,7 +463,7 @@ def blocking_registers(
         if polygon is None:
             polygon = test_polygon(members)
         if point_in_convex_polygon(Point(x, y), polygon, include_boundary=False):
-            blockers.append(info)
+            blockers.append(info.name)
     return blockers
 
 

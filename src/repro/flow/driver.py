@@ -107,7 +107,6 @@ def _measure(state: FlowState) -> DesignMetrics:
         state.design,
         state.timer,
         state.scan_model,
-        state.config.composer.compatibility,
         cts_max_fanout=state.config.cts_max_fanout,
         congestion_bins=state.config.congestion_bins,
     )

@@ -49,8 +49,9 @@ def solve_binary_program(
     cold run while provably-dominated subtrees are cut immediately.
 
     Raises ``RuntimeError`` if ``max_nodes`` subproblems are exhausted
-    before proving optimality — a safety valve, not an expected outcome at
-    composition problem sizes.
+    before proving optimality, or if a relaxation hits the simplex pivot
+    limit (pruning that node would be unsound) — safety valves, not
+    expected outcomes at composition problem sizes.
     """
     c = np.asarray(c, dtype=float)
     n = c.size
@@ -74,7 +75,10 @@ def solve_binary_program(
             (float(fixed[j]), float(fixed[j])) if j in fixed else (0.0, 1.0)
             for j in range(n)
         ]
-        return solve_lp(c, A_ub, b_ub, A_eq, b_eq, bounds)
+        res = solve_lp(c, A_ub, b_ub, A_eq, b_eq, bounds)
+        if res.status is LPStatus.PIVOT_LIMIT:
+            raise RuntimeError("branch-and-bound relaxation hit the pivot limit")
+        return res
 
     root = relax(root_bounds)
     if root.status is LPStatus.INFEASIBLE:

@@ -8,7 +8,12 @@ Design notes:
   finite upper bounds become additional ``<=`` rows (simple, and fine at the
   problem sizes the composition flow produces);
 * phase 1 drives artificial variables out of the basis; phase 2 optimizes;
-* Bland's smallest-index rule guarantees termination under degeneracy.
+* one tolerance rule: a reduced cost or a column entry within ``_EPS`` of
+  zero counts as zero, while elimination is exact, so every basic column
+  is an exact unit vector and its reduced cost exactly zero;
+* Bland's smallest-index rule prevents cycling under degeneracy, and a
+  pivot cap per phase turns any run that still fails to converge in
+  floating point into an explicit ``PIVOT_LIMIT`` status.
 """
 
 from __future__ import annotations
@@ -21,12 +26,15 @@ import numpy as np
 from repro import obs
 
 _EPS = 1e-9
+_PIVOTS_PER_DIMENSION = 50
+"""Pivot cap of one phase, per tableau row plus column."""
 
 
 class LPStatus(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
+    PIVOT_LIMIT = "pivot_limit"
 
 
 @dataclass(frozen=True)
@@ -173,6 +181,8 @@ def _two_phase_simplex(c, A_ub, b_ub, A_eq, b_eq):
     cost1 = np.concatenate([np.zeros(total), np.ones(m)])
     sol, n_piv = _iterate(T, b, cost1, basis)
     pivots += n_piv
+    if sol is LPStatus.PIVOT_LIMIT:
+        return sol, pivots
     if sol is LPStatus.UNBOUNDED:  # pragma: no cover - phase 1 is bounded
         return LPStatus.INFEASIBLE, pivots
     obj1 = sum(cost1[j] * v for j, v in zip(basis, sol))
@@ -197,8 +207,8 @@ def _two_phase_simplex(c, A_ub, b_ub, A_eq, b_eq):
             T2[i, j] = 1.0  # keep degenerate artificial basic at zero
     sol, n_piv = _iterate(T2, b, cost2, basis)
     pivots += n_piv
-    if sol is LPStatus.UNBOUNDED:
-        return LPStatus.UNBOUNDED, pivots
+    if isinstance(sol, LPStatus):
+        return sol, pivots
 
     x = np.zeros(total + m)
     for i, j in enumerate(basis):
@@ -207,28 +217,32 @@ def _two_phase_simplex(c, A_ub, b_ub, A_eq, b_eq):
 
 
 def _pivot(T, b, row, col, basis) -> None:
+    """Pivot on ``T[row, col]``, eliminating the column from every other
+    row exactly, so it becomes a unit vector down to the last bit."""
     piv = T[row, col]
     T[row] /= piv
     b[row] /= piv
-    for i in range(T.shape[0]):
-        if i != row and abs(T[i, col]) > _EPS:
-            factor = T[i, col]
-            T[i] -= factor * T[row]
-            b[i] -= factor * b[row]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
+    b -= factors * b[row]
     basis[row] = col
 
 
 def _iterate(T, b, cost, basis):
-    """Run simplex iterations with Bland's rule until optimal/unbounded;
-    returns ``(basic-variable values, pivots performed)``."""
+    """Run simplex iterations with Bland's rule until optimal, unbounded or
+    out of pivots; returns ``(basic-variable values or the failure status,
+    pivots performed)``."""
     m = T.shape[0]
-    pivots = 0
-    while True:
+    limit = _PIVOTS_PER_DIMENSION * (m + T.shape[1])
+    for pivots in range(limit + 1):
         cb = cost[basis]
         reduced = cost - cb @ T
-        entering = next((j for j in range(T.shape[1]) if reduced[j] < -1e-9), None)
+        entering = next((j for j in range(T.shape[1]) if reduced[j] < -_EPS), None)
         if entering is None:
             return b.copy(), pivots
+        if pivots == limit:
+            return LPStatus.PIVOT_LIMIT, pivots
         ratios = [
             (b[i] / T[i, entering], basis[i], i)
             for i in range(m)
@@ -238,4 +252,3 @@ def _iterate(T, b, cost, basis):
             return LPStatus.UNBOUNDED, pivots
         _, _, leave_row = min(ratios, key=lambda t: (t[0], t[1]))
         _pivot(T, b, leave_row, entering, basis)
-        pivots += 1

@@ -171,33 +171,27 @@ def _stitch_scan(
         design.connect(new_cell.pin(target.so_pin()), so_net)
 
 
-def _sweep_dead_nets(
-    design: Design, candidates: Iterable[str] | None = None
-) -> None:
+def _sweep_dead_nets(design: Design, candidates: Iterable[str]) -> None:
     """Remove nets whose terminals all vanished with the replaced registers
     (typically scan-stitch nets now absorbed inside an MBR), and nets left
     with a driver but no sink that used to feed only removed scan-ins.
 
-    ``candidates`` optionally names the nets that could have lost a
-    terminal in the current edit (a superset of the dead ones); only those
-    nets are fetched and inspected, making one sweep O(candidates) rather
-    than O(all nets) — on a large design the composition pass applies
-    hundreds of MBRs, and a full-netlist scan per apply is the difference
-    between a linear pass and a quadratic one.  The single-terminal test
-    runs first — ``driver``/``sinks`` scan the terminal list, so gating
-    them on the cheap length check keeps each net's check O(1).
+    ``candidates`` names the nets that could have lost a terminal in the
+    current edit (a superset of the dead ones); only those nets are
+    inspected, so one sweep costs O(candidates), not O(all nets).  Each
+    net's test starts from the store's terminal count (``Net.num_pins``):
+    the candidates include the clock, reset and scan-enable nets, whose
+    terminal lists hold thousands of sinks, so only a net down to one
+    terminal ever has that list built.
     """
-    if candidates is None:
-        pool = list(design.nets.values())
-    else:
-        nets = design.nets
-        pool = [nets[name] for name in candidates if name in nets]
+    nets = design.nets
+    pool = [nets[name] for name in candidates if name in nets]
     dead = [
         net
         for net in pool
-        if not net.terminals
+        if net.num_pins == 0
         or (
-            len(net.terminals) == 1
+            net.num_pins == 1
             and not net.is_clock
             and net.driver is not None
             and not net.sinks

@@ -495,14 +495,19 @@ class ScanModel:
                 chain.sink_net = src.name
 
     def _sweep_orphan_stitches(self, design: Design) -> None:
-        """Drop stitch nets that lost both driver and sinks during rewiring."""
+        """Drop stitch nets that lost both driver and sinks during rewiring.
+
+        Runs on every restitch, so it reads the store's name table and
+        terminal counts instead of building a view per net.
+        """
+        store = design.store
         dead = [
-            net
-            for net in design.nets.values()
-            if not net.terminals and net.name.startswith("scan_stitch")
+            name
+            for name, nid in store.net_ids.items()
+            if name.startswith("scan_stitch") and store.net_count[nid] == 0
         ]
-        for net in dead:
-            design.remove_net(net)
+        for name in dead:
+            design.remove_net(name)
 
     def _chain_hops(self, design: Design, chain: ScanChain):
         """Per chain hop, its (scan-out pin, scan-in pin) in traverse order.

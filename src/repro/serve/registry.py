@@ -13,6 +13,7 @@ thread-safe obs registry.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 
@@ -258,8 +259,23 @@ def _digest(value) -> str:
 
 
 def _clamp_to_die(design, cell, x: float, y: float) -> tuple[float, float]:
+    """Clamp a requested origin so the cell's footprint stays on the die."""
     die = design.die
     lib = cell.libcell
-    x = min(max(die.xlo, x), die.xhi - lib.width)
-    y = min(max(die.ylo, y), die.yhi - lib.height)
+    x = min(max(die.xlo, x), _last_origin(die.xhi, lib.width))
+    y = min(max(die.ylo, y), _last_origin(die.yhi, lib.height))
     return x, y
+
+
+def _last_origin(hi: float, size: float) -> float:
+    """The largest origin whose extent ``origin + size`` stays ``<= hi``.
+
+    ``hi - size`` can round up (79.7 - 6.68 == 73.02000000000001, which
+    ends the footprint at 79.70000000000002), so step it down one float at
+    a time until the sum holds; it is returned unchanged when it already
+    does.
+    """
+    origin = hi - size
+    while origin + size > hi:
+        origin = math.nextafter(origin, -math.inf)
+    return origin

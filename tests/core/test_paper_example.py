@@ -81,7 +81,7 @@ class TestFig3Weights:
         all_regs = list(infos.values())
         for members in (["A", "B", "C"], ["B", "C"], ["B", "C", "F"]):
             blockers = blocking_registers([infos[m] for m in members], all_regs)
-            assert [b.name for b in blockers] == ["D"]
+            assert blockers == ["D"]
 
     def test_ce_is_blocked_in_reconstruction(self, example):
         # CE spans from C up to E, and A sits between them.

@@ -103,6 +103,31 @@ class TestEcoEquivalence:
         assert reused > 0
         assert recomputed < reused
 
+    def test_register_frozen_by_an_edit_leaves_the_analysis(self, lib):
+        # The analysis holds composable registers only: a dirty register
+        # that stops being composable drops out of the cached infos and
+        # graph as a removed one would, and the audit still matches a
+        # scratch compose.
+        bundle = generate_design(preset("D1", scale=0.1), lib)
+        session = EcoSession(
+            bundle.design, bundle.timer, bundle.scan_model, audit_mode=True
+        )
+        session.recompose()
+        design = session.design
+        name = next(n for n in sorted(session.cache.infos) if n in design.cells)
+        cell = design.cells[name]
+        x = cell.origin.x + 0.2
+        if x + cell.libcell.width > design.die.xhi:
+            x = cell.origin.x - 0.2
+        with session.edit():
+            cell.dont_touch = True
+            design.move_cell(cell, Point(x, cell.origin.y))
+        stats = session.recompose()
+        assert stats.incremental and stats.audit_checked
+        assert name in design.cells
+        assert name not in session.cache.infos
+        assert not session.cache.graph.has_node(name)
+
     def test_full_recompose_and_explicit_passes_are_not_incremental(self, lib):
         bundle = generate_design(preset("D1", scale=0.1), lib)
         session = EcoSession(bundle.design, bundle.timer, bundle.scan_model)

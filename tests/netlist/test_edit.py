@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.geometry import Point
+from repro.geometry import Point, Rect
 from repro.library.functional import DFF_R, DFF_R_S
 from repro.library.functional import ScanStyle
 from repro.netlist import ComposeError, RegisterView, compose_mbr
+from repro.netlist.store import NetlistStore
 from repro.netlist.validate import validate_design
 
 from tests.conftest import make_flop_row
@@ -191,3 +192,38 @@ class TestComposeGeometryIndependence:
         compose_mbr(d, [d.cell(f"ff{i}") for i in range(8)], target, Point(20, 50))
         assert d.total_register_count() == 1
         assert d.width_histogram() == {8: 1}
+
+
+class TestComposeCost:
+    """One merge must not pay for the fanout of the nets it touches."""
+
+    @staticmethod
+    def _terminal_views(lib, monkeypatch, n: int) -> int:
+        """``terminal_view`` calls of one two-register merge on a row whose
+        clock net has ``n`` sinks and whose reset net has ``4n``."""
+        design = make_flop_row(lib, n_flops=n, die=Rect(0, 0, 20 + 4 * n, 100))
+        rst = design.net("rst")
+        for k in range(3 * n):
+            buf = design.add_cell(f"rbuf{k}", lib.cell("BUF_X1"), Point(10.0 + k, 60.0))
+            design.connect(buf.pin("A"), rst)
+        assert len(design.net("clk").terminals) == n + 1
+        assert len(rst.terminals) == 4 * n + 1
+        calls = 0
+        original = NetlistStore.terminal_view
+
+        def counting(self, tid):
+            nonlocal calls
+            calls += 1
+            return original(self, tid)
+
+        group = [design.cell("ff0"), design.cell("ff1")]
+        target = lib.register_cells(DFF_R, 2)[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(NetlistStore, "terminal_view", counting)
+            compose_mbr(design, group, target, Point(11.0, 50.0))
+        return calls
+
+    def test_terminal_views_do_not_grow_with_fanout(self, lib, monkeypatch):
+        small = self._terminal_views(lib, monkeypatch, 8)
+        large = self._terminal_views(lib, monkeypatch, 64)
+        assert large == small

@@ -10,7 +10,10 @@ check conversation round-trips with its result payload intact.
 from __future__ import annotations
 
 import asyncio
+import math
+from types import SimpleNamespace
 
+from repro.geometry import Rect
 from repro.serve import (
     ERR_UNKNOWN_DESIGN,
     ERR_UNKNOWN_KIND,
@@ -23,6 +26,7 @@ from repro.serve import (
     TcpClient,
 )
 from repro.serve.protocol import encode_line
+from repro.serve.registry import _clamp_to_die
 
 from tests.serve.conftest import tcp_server
 
@@ -31,6 +35,26 @@ def small_registry() -> DesignRegistry:
     registry = DesignRegistry()
     registry.add_preset("tiny", "D1", scale=0.06)
     return registry
+
+
+def _square_cell(size: float):
+    return SimpleNamespace(libcell=SimpleNamespace(width=size, height=size))
+
+
+def test_clamp_keeps_the_footprint_on_the_die():
+    # 79.7 - 6.68 rounds up to 73.02000000000001, whose footprint would end
+    # at 79.70000000000002, past the die edge.
+    design = SimpleNamespace(die=Rect(0.0, 0.0, 79.7, 79.7))
+    x, y = _clamp_to_die(design, _square_cell(6.68), 1000.0, 1000.0)
+    assert x + 6.68 <= 79.7 and y + 6.68 <= 79.7
+    assert x == y == math.nextafter(79.7 - 6.68, -math.inf)
+
+
+def test_clamp_leaves_exact_bounds_and_inner_points_alone():
+    design = SimpleNamespace(die=Rect(0.0, 0.0, 100.0, 50.0))
+    cell = _square_cell(2.0)
+    assert _clamp_to_die(design, cell, 1000.0, -5.0) == (98.0, 0.0)
+    assert _clamp_to_die(design, cell, 12.3, 4.5) == (12.3, 4.5)
 
 
 def test_request_response_wire_round_trip():
