@@ -449,6 +449,10 @@ def _stage_analyze(state: ComposeState):
     node attributes stay consistent), a dirty register that is no longer
     composable leaves ``infos`` like a removed one, and the set of
     actually-changed names is handed to the graph stage.
+
+    ``registers_changed`` counts that set (every analyzed register in
+    full mode), so a trace shows how many of the re-analyzed dirty
+    registers actually changed.
     """
     from repro.core.weights import RegisterField
 
@@ -503,6 +507,11 @@ def _stage_analyze(state: ComposeState):
         "registers": len(state.infos),
         "registers_recomputed": refreshed,
         "registers_reused": len(state.infos) - refreshed,
+        "registers_changed": (
+            refreshed
+            if state.analysis_changed is None
+            else len(state.analysis_changed)
+        ),
     }
 
 

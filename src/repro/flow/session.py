@@ -54,6 +54,7 @@ from repro.core.composer import (
 from repro.engine import StageTrace
 from repro.netlist.change import ChangeRecord, ChangeTracker
 from repro.netlist.design import Design
+from repro.netlist.store import NO_ID
 from repro.scan.model import ScanModel
 from repro.sta.timer import Timer
 
@@ -328,24 +329,33 @@ class EcoSession:
     ) -> tuple[set[str], set[str]]:
         """The registers an edit batch can have affected.
 
-        Union of (a) registers whose timing moved (the timer's changed-cell
-        ripples — covers slack and feasible-region shifts, including skew
-        assignments that never touched the netlist), and (b) structural
-        candidates: registers added/moved/resized/re-pinned by the records,
-        plus every register sharing a net with such a cell or with a rewired
-        net — a neighbor's move can reshape a violating pin's net-bbox
-        region even when its own delays happen not to change.
+        A register's analysis (its ``info_signature``) reads three things:
+        its own cell (library cell, flags, pin nets, position), the timing
+        of its D and Q pins, and the bounding boxes of its D and Q nets.
+        The dirty set is the union of the registers each can have changed
+        for: (a) registers added/moved/resized/re-pinned by the records;
+        (b) the timer's ripples, which name exactly the registers whose D
+        or Q timing changed (skew assignments that never touched the
+        netlist included); (c) registers with a D or Q pin on a rewired
+        net or on a net of a cell in (a) — a neighbor's move can reshape a
+        violating pin's net-bbox region even when its own delays happen
+        not to change.
 
-        Clock nets are excluded from the net expansion: compatibility only
-        reads the clock net's *name* (never its geometry), a re-clocked
-        register is itself in ``touched``, and clock-skew timing effects
-        arrive through the ripples — without the exclusion every edit would
-        dirty the whole clock domain.
+        Nets reach (c) only through D/Q pins: compatibility reads control
+        and clock nets by *name*, never by geometry, so a register whose
+        only pin on an edited net is a reset, scan-enable or clock pin has
+        nothing to refresh.  Everything is read from store columns, so a
+        reset net with thousands of sinks costs no views.
         """
         merged = ChangeRecord.merge(records)
         removed = set(merged.removed)
+        store = self.design.store
         dirty: set[str] = set()
-        affected_nets: set[str] = set(merged.rewired_nets)
+        affected_nets = {
+            store.net_ids[name]
+            for name in merged.rewired_nets
+            if name in store.net_ids
+        }
 
         movers = (
             list(merged.cells_added)
@@ -354,28 +364,32 @@ class EcoSession:
             + list(merged.touched)
         )
         for name in movers:
-            cell = self.design.cells.get(name)
-            if cell is None:
+            cid = store.cell_ids.get(name)
+            if cid is None:
                 continue
-            if cell.is_register:
+            rec = store.libs[store.cell_lib[cid]]
+            if rec.is_register:
                 dirty.add(name)
-            for pin in cell.pins.values():
-                if pin.net is not None:
-                    affected_nets.add(pin.net.name)
+            pin0 = int(store.cell_pin0[cid])
+            affected_nets.update(store.pin_net[pin0 : pin0 + rec.n_pins].tolist())
+        affected_nets.discard(NO_ID)
 
         for name in ripples:
-            cell = self.design.cells.get(name)
-            if cell is not None and cell.is_register:
+            cid = store.cell_ids.get(name)
+            if cid is not None and store.cell_is_register(cid):
                 dirty.add(name)
 
-        for net_name in affected_nets:
-            net = self.design.nets.get(net_name)
-            if net is None or net.is_clock:
+        for nid in affected_nets:
+            if store.net_clock[nid]:
                 continue
-            for terminal in net.terminals:
-                cell = getattr(terminal, "cell", None)
-                if cell is not None and cell.is_register:
-                    dirty.add(cell.name)
+            for tid in store.net_terminal_ids(nid):
+                if tid & 1:
+                    continue  # a design port
+                slot = tid >> 1
+                cid = int(store.pin_cell[slot])
+                rec = store.libs[store.cell_lib[cid]]
+                if slot - int(store.cell_pin0[cid]) in rec.dq_pins:
+                    dirty.add(store.cell_name[cid])
 
         dirty -= removed
         return dirty, removed

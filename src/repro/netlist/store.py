@@ -32,9 +32,9 @@ Terminal ids ("tid") encode pins and ports uniformly:
 ``tid = pin_slot << 1`` for pins, ``tid = (port_id << 1) | 1`` for ports.
 
 Library cells are interned once per store (`LibRecord`): the pin-descriptor
-tuple, a ``pin name -> index`` map, and an ``is_register`` flag are resolved
-a single time instead of per instance — parsers and hot paths look pins up
-by integer index.
+tuple, a ``pin name -> index`` map, an ``is_register`` flag and a register's
+D/Q pin indices are resolved a single time instead of per instance — parsers
+and hot paths look pins up by integer index.
 
 Deletion discipline: freed cell/pin/net slots are recycled, so a stale view
 must never read the store again after its entity dies.  `free_cell`,
@@ -71,7 +71,7 @@ class LibRecord:
     pin blocks possible: a pin is identified by ``(cell id, desc index)``.
     """
 
-    __slots__ = ("libcell", "pins", "pin_index", "n_pins", "is_register")
+    __slots__ = ("libcell", "pins", "pin_index", "n_pins", "is_register", "dq_pins")
 
     def __init__(self, libcell: LibCell) -> None:
         self.libcell = libcell
@@ -79,6 +79,17 @@ class LibRecord:
         self.pin_index: dict[str, int] = {d.name: i for i, d in enumerate(libcell.pins)}
         self.n_pins = len(libcell.pins)
         self.is_register = isinstance(libcell, RegisterCell)
+        # Pin indices of a register's data pins (every D and Q bit): the
+        # only pins whose timing and net geometry register analysis reads.
+        self.dq_pins: frozenset[int] = (
+            frozenset(
+                self.pin_index[name]
+                for bit in range(libcell.width_bits)
+                for name in (libcell.d_pin(bit), libcell.q_pin(bit))
+            )
+            if self.is_register
+            else frozenset()
+        )
 
 
 def _grow(arr: np.ndarray, need: int, fill) -> np.ndarray:

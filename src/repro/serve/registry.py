@@ -194,17 +194,17 @@ class DesignRegistry:
                 applied += 1
         else:
             # Server-side seeded storm: planned against the *current* world,
-            # one register at a time, so the plan never references a cell a
-            # previous compose absorbed.  Deterministic given (seed, state).
+            # so the plan never references a cell a previous compose
+            # absorbed.  Moves add and remove no cell and change no flag,
+            # so the movable list is built once per job.  Deterministic
+            # given (seed, state).
             moves = int(params.get("moves", 0))
             radius = float(params.get("radius", 3.0))
             rng = random.Random(int(params.get("seed", 0)))
+            movable = [
+                c for c in design.registers() if not c.fixed and not c.dont_touch
+            ]
             for _ in range(moves):
-                movable = [
-                    c
-                    for c in design.registers()
-                    if not c.fixed and not c.dont_touch
-                ]
                 if not movable:
                     break
                 cell = rng.choice(movable)

@@ -532,9 +532,10 @@ class ArrayKernel:
         reg = obs.get_registry()
 
         def note_changed(nid: int) -> None:
-            cell = getattr(g._nodes.get(nid), "cell", None)
-            if cell is not None:
-                timer._changed_cells.add(cell.name)
+            # Register D/Q seed pins only, as in Timer._retime_dict.
+            entry = g.capture_by_id.get(nid) or g.launch_by_id.get(nid)
+            if entry is not None:
+                timer._changed_cells.add(entry[0].name)
 
         def drop_stale(nid: int) -> None:
             st.arrival.pop(nid, None)

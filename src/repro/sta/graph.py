@@ -16,8 +16,9 @@ propagate as data: clock arrival at each register is modelled separately
 
 The graph is *patchable*: :meth:`TimingGraph.apply_change` consumes a
 :class:`~repro.netlist.change.ChangeRecord` and rebuilds only the arcs owned
-by the edited nets and cells, returning a :class:`GraphPatch` with the node
-ids whose timing became stale.  Ownership indexes (`net name -> arcs`,
+by the edited nets and cells (on a net a moved cell only sinks, just the
+arcs into its pins), returning a :class:`GraphPatch` with the node ids
+whose timing became stale.  Ownership indexes (`net name -> arcs`,
 `cell name -> arcs/seed pins`) make each patch O(edited neighborhood), and
 node refcounts retire terminals exactly when their last arc or seed role
 disappears — the patched graph matches a fresh build arc-for-arc.
@@ -276,6 +277,25 @@ class TimingGraph:
             patch.dirty.add(id(entry.driver))
             self._release(entry.driver, patch)
 
+    def _redelay_sink(self, entry: _NetEntry, pin: Pin, patch: GraphPatch) -> None:
+        """Re-derive the wire delay of the one arc into a moved sink pin.
+
+        The new arc is linked before the old one is unlinked, so the sink
+        never drops to zero references: it stays in the graph, keeps its
+        node id and its cached timing, and only the arc's two endpoints
+        are dirtied.  A moved pin that is no sink of the net (a second
+        output pin on it) has no arc to re-delay.
+        """
+        arcs = entry.arcs
+        for i, old in enumerate(arcs):
+            if old.dst is pin:
+                driver = entry.driver
+                arcs[i] = self._add_arc(
+                    driver, pin, self.wire_delay(driver, pin), patch
+                )
+                self._unlink(old, patch)
+                return
+
     def _add_cell_entries(self, cell: Cell, patch: GraphPatch) -> None:
         lc = cell.libcell
         if isinstance(lc, RegisterCell):
@@ -354,30 +374,43 @@ class TimingGraph:
     def apply_change(self, record: ChangeRecord) -> GraphPatch:
         """Patch the graph after a netlist edit, in place.
 
-        Only arcs owned by the edited nets/cells are rebuilt; drivers of
-        rewired nets have their delay model refreshed (their load changed
-        even when their own connectivity did not).  Returns the
-        :class:`GraphPatch` seeding the timer's dirty cones.
+        Only arcs owned by the edited nets/cells are rebuilt; a moved
+        cell's sink pins have just their own arcs re-delayed; drivers of
+        rewired nets and of nets with a moved sink have their delay model
+        refreshed (their load changed even when their own connectivity
+        did not).  Returns the :class:`GraphPatch` seeding the timer's
+        dirty cones.
         """
         patch = GraphPatch()
         design = self.design
 
         # Nets whose arcs must be rebuilt: explicitly rewired ones, plus
-        # every net attached to a moved cell (all its wire delays and its
-        # drivers' loads shifted with the pin locations).
+        # every net a moved cell drives (all its wire delays start at the
+        # moved driver pin).  On a net a moved cell only sinks, a wire
+        # delay depends on the driver and the one sink, so only the arcs
+        # into the moved pins change: those are re-delayed in place (step
+        # 4b), leaving the net's other sinks alone — a moved register
+        # does not disturb the hundreds of sinks of its reset or
+        # scan-enable net.
         rebuild_nets: dict[str, Net] = {}
         for name in record.rewired_nets:
             net = design.nets.get(name)
             if net is not None and not net.is_clock:
                 rebuild_nets[name] = net
+        moved_sinks: list[tuple[str, Pin]] = []
         for cname in record.moved:
             cell = design.cells.get(cname)
             if cell is None:
                 continue
             for pin in cell.pins.values():
                 net = pin.net
-                if net is not None and not net.is_clock:
+                if net is None or net.is_clock:
+                    continue
+                entry = self._net_arcs.get(net.name)
+                if entry is None or entry.driver is pin:
                     rebuild_nets.setdefault(net.name, net)
+                else:
+                    moved_sinks.append((net.name, pin))
 
         # Cells whose arcs/seeds must be rebuilt.  Resized cells replaced
         # every pin object; touched cells changed pin connectivity; moved
@@ -411,9 +444,18 @@ class TimingGraph:
         for net in rebuild_nets.values():
             self._add_net_arcs(net, patch)
 
+        # 4b. Re-delay the arcs into moved sink pins of the other nets.
+        refresh_nets = dict.fromkeys(rebuild_nets)
+        for name, pin in moved_sinks:
+            if name not in rebuild_nets:
+                self._redelay_sink(self._net_arcs[name], pin, patch)
+                refresh_nets[name] = None
+
         # 5. Refresh drivers whose load changed without their own rebuild.
-        for net in rebuild_nets.values():
-            self._refresh_driver(net, rebuild_cells, patch)
+        for name in refresh_nets:
+            entry = self._net_arcs.get(name)
+            if entry is not None:
+                self._refresh_driver(entry.driver, rebuild_cells, patch)
 
         # 6. Re-register edited ports.
         for pname in record.ports_touched:
@@ -422,16 +464,14 @@ class TimingGraph:
         return patch
 
     def _refresh_driver(
-        self, net: Net, rebuilt: dict[str, Cell], patch: GraphPatch
+        self, driver: Terminal, rebuilt: dict[str, Cell], patch: GraphPatch
     ) -> None:
-        """Re-derive the delay model of a rewired net's driver cell.
+        """Re-derive the delay model of an edited net's driver cell.
 
-        A net rewire changes the driver's output load (sink caps + HPWL),
-        which feeds the comb delay or the register clk->q launch delay.
+        A net rewire or a moved sink changes the driver's output load
+        (sink caps + HPWL), which feeds the comb delay or the register
+        clk->q launch delay.
         """
-        driver = net.driver
-        if driver is None:
-            return
         cell = getattr(driver, "cell", None)
         if cell is None or cell.name in rebuilt:
             return  # a port, or already rebuilt with fresh loads

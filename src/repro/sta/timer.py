@@ -201,7 +201,15 @@ class Timer:
         self._compute()
 
     def drain_changed_cells(self) -> set[str] | None:
-        """Cells with a pin whose arrival/required changed since the last drain.
+        """Registers whose D or Q timing changed since the last drain.
+
+        A register is named when the arrival or required time of one of
+        its D or Q seed pins (``capture_by_id``/``launch_by_id``) changed
+        value — the only nodes :meth:`register_slack` and
+        :func:`~repro.core.compatibility.feasible_region` read.  Changes
+        elsewhere (combinational pins, or a register's reset and
+        scan-enable pins, which no register analysis reads) are not
+        reported.
 
         Forces evaluation first, so pending dirt is realized before the
         answer.  Returns ``None`` after any full (from-scratch) propagation —
@@ -470,11 +478,12 @@ class Timer:
         touched: set[int] = set()
 
         def note_changed(nid: int) -> None:
-            # Record the owning cell of a node whose value actually changed;
-            # drained by drain_changed_cells() for register-level consumers.
-            cell = getattr(g._nodes.get(nid), "cell", None)
-            if cell is not None:
-                self._changed_cells.add(cell.name)
+            # A register D or Q seed pin whose value actually changed: the
+            # only nodes register_slack and feasible_region read.  Drained
+            # by drain_changed_cells() for register-level consumers.
+            entry = g.capture_by_id.get(nid) or g.launch_by_id.get(nid)
+            if entry is not None:
+                self._changed_cells.add(entry[0].name)
 
         # Forward cone: arrivals ascend by level.
         heap: list[tuple[int, int]] = []

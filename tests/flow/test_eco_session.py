@@ -68,7 +68,7 @@ class TestEcoEquivalence:
 
         rng = random.Random(11)
         reused = recomputed = 0.0
-        for _ in range(21):
+        for move in range(21):
             cell, target = _random_move(session.design, rng)
             with session.edit():
                 session.design.move_cell(cell, target)
@@ -81,6 +81,12 @@ class TestEcoEquivalence:
             stats = session.recompose()
             assert stats.incremental
             assert stats.dirty_registers > 0
+            if move >= 2:
+                # Once the priming compose's own edits are absorbed, a
+                # move dirties the registers on its D/Q nets and those
+                # whose D/Q timing changed, not the registers that merely
+                # share its reset or scan-enable net (about 60 here).
+                assert stats.dirty_registers <= 10, stats.dirty_registers
             ref_result = compose_design(
                 design,
                 timer,
@@ -127,6 +133,35 @@ class TestEcoEquivalence:
         assert name in design.cells
         assert name not in session.cache.infos
         assert not session.cache.graph.has_node(name)
+
+    def test_analyze_reports_how_many_dirty_registers_changed(self, lib):
+        bundle = generate_design(preset("D1", scale=0.1), lib)
+        session = EcoSession(bundle.design, bundle.timer, bundle.scan_model)
+        prime = session.recompose().trace
+        # Full mode: every analyzed register counts as changed.
+        assert prime.counter_total("registers_changed") == prime.counter_total(
+            "registers_recomputed"
+        )
+        assert prime.counter_total("registers_changed") > 0
+        # Recompose until the priming compose's own edits are absorbed.
+        for _ in range(5):
+            idle = session.recompose().trace
+            if idle.counter_total("registers_changed") == 0:
+                break
+        assert idle.counter_total("registers_changed") == 0
+
+        # A move and its undo in one edit: the mover is re-analyzed, and
+        # nothing it reads has changed.
+        design = session.design
+        cell = design.cells[min(session.cache.infos)]
+        origin = cell.origin
+        with session.edit():
+            design.move_cell(cell, Point(origin.x + 0.2, origin.y))
+            design.move_cell(cell, origin)
+        stats = session.recompose()
+        assert stats.incremental
+        assert stats.trace.counter_total("registers_recomputed") >= 1
+        assert stats.trace.counter_total("registers_changed") == 0
 
     def test_full_recompose_and_explicit_passes_are_not_incremental(self, lib):
         bundle = generate_design(preset("D1", scale=0.1), lib)

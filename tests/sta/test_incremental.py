@@ -17,7 +17,10 @@ from repro.geometry import Point
 from repro.library.functional import DFF_R
 from repro.netlist import compose_mbr
 from repro.sta import Timer
+from repro.sta.graph import TimingGraph
 from repro.sta.timer import TimingAuditError
+
+from tests.conftest import make_flop_row
 
 
 def _assert_matches_fresh(timer: Timer, period: float) -> None:
@@ -110,6 +113,47 @@ class TestApplyChange:
         assert timer.stats.changes_applied == 0
         timer.summary()
         assert timer.stats.incremental_timings == 0
+
+
+class TestMoveCost:
+    """A move re-delays the moved cell's own arcs, not its nets' other sinks.
+
+    Every register of the row shares one reset net.  Moving one register
+    must not rebuild the reset net's arcs to the other registers, and
+    their reset pins' timing is not register timing, so none of them may
+    read as changed: both the patch and the ripple report stay the same
+    size as the row grows.
+    """
+
+    @staticmethod
+    def _move_ff0(lib, n: int, kernel: str) -> tuple[int, set[str] | None]:
+        design = make_flop_row(lib, n_flops=n, spacing=1.0)
+        timer = Timer(design, clock_period=1.0, audit_mode=True, kernel=kernel)
+        timer.summary()
+        assert timer.drain_changed_cells() is None  # the full-timing epoch
+        ff0 = design.cell("ff0")
+        with design.track() as tracker:
+            design.move_cell(ff0, Point(ff0.origin.x + 0.5, ff0.origin.y))
+        added: list[object] = []
+        original = TimingGraph._add_arc
+
+        def counting(graph, src, dst, delay, patch):
+            added.append(dst)
+            return original(graph, src, dst, delay, patch)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(TimingGraph, "_add_arc", counting)
+            timer.apply_change(tracker.record())
+        # Draining retimes, and audit mode checks the retime against a
+        # from-scratch build.
+        return len(added), timer.drain_changed_cells()
+
+    @pytest.mark.parametrize("kernel", ["array", "dict"])
+    def test_move_cost_does_not_grow_with_the_reset_fanout(self, lib, kernel):
+        small = self._move_ff0(lib, 8, kernel)
+        large = self._move_ff0(lib, 64, kernel)
+        assert small == large
+        assert small[1] == {"ff0"}
 
 
 class TestSkewLifecycle:
