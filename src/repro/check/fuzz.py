@@ -30,7 +30,7 @@ from repro import obs
 from repro.check.invariants import Violation, check_all, format_violations
 from repro.check.oracles import diff_arraytimer_vs_dict, diff_timer_vs_fresh
 from repro.flow.session import EcoAuditError, EcoSession
-from repro.geometry import Point
+from repro.geometry import Point, last_origin
 from repro.library.library import CellLibrary
 from repro.netlist.db import Pin, Port
 from repro.netlist.design import Design
@@ -84,11 +84,11 @@ def _propose_move(world: EditWorld, rng: random.Random) -> dict | None:
     die = world.design.die
     x = min(
         max(die.xlo, cell.origin.x + rng.uniform(-4.0, 4.0)),
-        die.xhi - cell.libcell.width,
+        last_origin(die.xhi, cell.libcell.width),
     )
     y = min(
         max(die.ylo, cell.origin.y + rng.uniform(-4.0, 4.0)),
-        die.yhi - cell.libcell.height,
+        last_origin(die.yhi, cell.libcell.height),
     )
     return {"op": "move", "cell": cell.name, "x": x, "y": y}
 

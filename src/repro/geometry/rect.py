@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.geometry.point import Point
@@ -196,3 +197,17 @@ def intersect_all(rects: list[Rect]) -> Rect | None:
     if xhi < xlo or yhi < ylo:
         return None
     return Rect(xlo, ylo, xhi, yhi)
+
+
+def last_origin(hi: float, size: float) -> float:
+    """The largest origin whose extent ``origin + size`` stays ``<= hi``.
+
+    ``hi - size`` can round up (79.7 - 6.68 == 73.02000000000001, which
+    ends the footprint at 79.70000000000002), so step it down one float at
+    a time until the sum holds; it is returned unchanged when it already
+    does.  Clamping a cell origin to it keeps the footprint on the die.
+    """
+    origin = hi - size
+    while origin + size > hi:
+        origin = math.nextafter(origin, -math.inf)
+    return origin

@@ -13,7 +13,6 @@ thread-safe obs registry.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 
@@ -22,7 +21,7 @@ from repro.bench import generate_design, preset
 from repro.core.composer import ComposerConfig
 from repro.check.invariants import check_all, format_violations
 from repro.flow.session import EcoSession, shared_session_cache
-from repro.geometry.point import Point
+from repro.geometry import Point, last_origin
 from repro.library import default_library
 from repro.serve.protocol import ERR_BAD_REQUEST, JobError, JobRequest
 
@@ -262,20 +261,6 @@ def _clamp_to_die(design, cell, x: float, y: float) -> tuple[float, float]:
     """Clamp a requested origin so the cell's footprint stays on the die."""
     die = design.die
     lib = cell.libcell
-    x = min(max(die.xlo, x), _last_origin(die.xhi, lib.width))
-    y = min(max(die.ylo, y), _last_origin(die.yhi, lib.height))
+    x = min(max(die.xlo, x), last_origin(die.xhi, lib.width))
+    y = min(max(die.ylo, y), last_origin(die.yhi, lib.height))
     return x, y
-
-
-def _last_origin(hi: float, size: float) -> float:
-    """The largest origin whose extent ``origin + size`` stays ``<= hi``.
-
-    ``hi - size`` can round up (79.7 - 6.68 == 73.02000000000001, which
-    ends the footprint at 79.70000000000002), so step it down one float at
-    a time until the sum holds; it is returned unchanged when it already
-    does.
-    """
-    origin = hi - size
-    while origin + size > hi:
-        origin = math.nextafter(origin, -math.inf)
-    return origin

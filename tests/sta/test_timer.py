@@ -4,10 +4,14 @@ import math
 
 import pytest
 
+from repro.bench import generate_design, preset
 from repro.geometry import Point, Rect
 from repro.library.functional import DFF_R
 from repro.netlist import Design
+from repro.netlist.db import Net
+from repro.netlist.store import NetlistStore
 from repro.sta import Timer
+from repro.sta.graph import TimingGraph
 
 from tests.conftest import make_flop_row
 
@@ -132,6 +136,27 @@ class TestGraphStructure:
         timer.dirty()
         after = timer.summary().total_endpoints
         assert after == before  # same endpoints, new cells
+
+    def test_build_reads_store_columns_not_net_views(self, lib, monkeypatch):
+        """The graph build walks store columns: no net view, no terminal list."""
+        bundle = generate_design(preset("D1", scale=0.15), lib)
+        calls = {"net_view": 0, "terminals": 0}
+        net_view = NetlistStore.net_view
+        terminals = Net.terminals
+
+        def counting_net_view(store, nid):
+            calls["net_view"] += 1
+            return net_view(store, nid)
+
+        def counting_terminals(net):
+            calls["terminals"] += 1
+            return terminals.fget(net)
+
+        monkeypatch.setattr(NetlistStore, "net_view", counting_net_view)
+        monkeypatch.setattr(Net, "terminals", property(counting_terminals))
+        graph = TimingGraph(bundle.design)
+        assert graph.node_count > 0 and graph.capture_by_id
+        assert calls == {"net_view": 0, "terminals": 0}
 
     def test_reg_to_reg_path(self, lib):
         # ff0.Q -> inv -> ff1.D direct register-to-register path.
