@@ -31,7 +31,6 @@ from repro.check.oracles import (
     clone_world,
     compare_session_to_reference,
     composition_signature,
-    diff_arraytimer_vs_dict,
     diff_serial_vs_parallel,
     diff_timer_vs_fresh,
     grouping_signature,
@@ -54,7 +53,6 @@ __all__ = [
     "clone_world",
     "compare_session_to_reference",
     "composition_signature",
-    "diff_arraytimer_vs_dict",
     "diff_serial_vs_parallel",
     "diff_timer_vs_fresh",
     "format_violations",

@@ -28,7 +28,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.check.invariants import Violation, check_all, format_violations
-from repro.check.oracles import diff_arraytimer_vs_dict, diff_timer_vs_fresh
+from repro.check.oracles import diff_timer_vs_fresh
 from repro.flow.session import EcoAuditError, EcoSession
 from repro.geometry import Point, last_origin
 from repro.library.library import CellLibrary
@@ -428,7 +428,6 @@ def _recompose_and_check(world: EditWorld, storm: int) -> list[Violation]:
     try:
         out += check_all(world.design, world.timer, world.scan_model, result)
         out += diff_timer_vs_fresh(world.timer)
-        out += diff_arraytimer_vs_dict(world.timer)
     except Exception as exc:  # noqa: BLE001
         out.append(
             Violation(

@@ -220,29 +220,6 @@ def diff_timer_vs_fresh(timer: Timer) -> list[Violation]:
     return _diff_timers("sta-incremental-vs-fresh", timer, fresh)
 
 
-def diff_arraytimer_vs_dict(timer: Timer) -> list[Violation]:
-    """Array timing kernel == dict reference timer, bit for bit.
-
-    Clones the live timer's design into a fresh ``kernel="dict"`` timer
-    (the pre-vectorization reference implementation) and compares endpoint
-    slacks, hold slacks, and both summaries bit-exactly.  Exercised by the
-    edit-storm fuzzer, this pins the array kernel's full sweeps *and* its
-    masked dirty-cone retimes to the dict semantics.
-    """
-    clone = timer.design.clone()
-    ref = Timer(
-        clone,
-        timer.clock_period,
-        skew=dict(timer.skew),
-        input_delay=timer.input_delay,
-        output_delay=timer.output_delay,
-        technology=timer.tech,
-        audit_mode=False,
-        kernel="dict",
-    )
-    return _diff_timers("sta-array-vs-dict", timer, ref)
-
-
 def diff_serial_vs_parallel(
     make_world: Callable[[], tuple[Design, Timer, ScanModel | None]],
     workers: int = 4,

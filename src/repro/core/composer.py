@@ -65,7 +65,6 @@ class ComposerConfig:
     candidates: CandidateConfig = field(default_factory=CandidateConfig)
     max_subgraph_nodes: int = DEFAULT_MAX_NODES
     solver: str = "exact"  # "exact" (our branch-and-bound) or "scipy"
-    placement_method: str = "pwl"  # "pwl" or "lp"
     run_legalize: bool = True
     legalize_max_displacement: float | None = None
     passes: int = 2
@@ -898,7 +897,7 @@ def _apply_candidates(
         target = cand.mapping.cell
         bit_order = _bit_order(members, scan_model)
         region = _placement_window(design, cand.region.rect, target)
-        origin = place_mbr(region, target, bit_order, method=config.placement_method)
+        origin = place_mbr(region, target, bit_order)
         try:
             new_cell = compose_mbr(
                 design,

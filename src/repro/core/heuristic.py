@@ -123,9 +123,7 @@ def _stage_merge(state: HeuristicState):
             a, b = infos[plan.u], infos[plan.v]
             bit_order = _bit_order([a, b], scan_model)
             window = _placement_window(design, plan.region.rect, plan.choice.cell)
-            origin = place_mbr(
-                window, plan.choice.cell, bit_order, state.config.placement_method
-            )
+            origin = place_mbr(window, plan.choice.cell, bit_order)
             try:
                 new_cell = compose_mbr(
                     design,

@@ -11,8 +11,8 @@ minimize the summed half-perimeter wire length
 subject to (x, y) lying in the group's common timing-feasible region.  The
 paper solves this as an LP with helper variables replacing max/min; we
 implement exactly that LP on our simplex, plus a direct piecewise-linear
-minimizer (x and y decouple; each axis objective is convex PWL) used as the
-fast path and as an independent cross-check of the LP.
+minimizer (x and y decouple; each axis objective is convex PWL).  The flow
+places with the minimizer; the LP is its independent cross-check in tests.
 """
 
 from __future__ import annotations
@@ -185,20 +185,11 @@ def place_mbr_lp(region: Rect, conns: list[PinConnection]) -> Point:
 
 
 def place_mbr(
-    region: Rect,
-    target: RegisterCell,
-    bit_order: list[RegisterBit],
-    method: str = "pwl",
+    region: Rect, target: RegisterCell, bit_order: list[RegisterBit]
 ) -> Point:
     """Optimal origin for the new MBR inside its feasible region.
 
-    ``method="pwl"`` (default) uses the exact decoupled minimizer;
-    ``method="lp"`` solves the paper's LP.  Both return the same optimum
-    (property-tested); the PWL path is the fast default.
+    Uses the exact decoupled minimizer; :func:`place_mbr_lp` solves the
+    paper's LP to the same optimum and is kept as its test reference.
     """
-    conns = pin_connections(target, bit_order)
-    if method == "pwl":
-        return place_mbr_pwl(region, conns)
-    if method == "lp":
-        return place_mbr_lp(region, conns)
-    raise ValueError(f"unknown placement method {method!r}")
+    return place_mbr_pwl(region, pin_connections(target, bit_order))

@@ -407,7 +407,6 @@ class EcoSession:
             output_delay=self.timer.output_delay,
             technology=self.timer.tech,
             audit_mode=False,
-            kernel=self.timer.kernel,
         )
         ref_scan = self.scan_model.clone() if self.scan_model is not None else None
         return _AuditReference(ref_design, ref_timer, ref_scan)

@@ -4,17 +4,18 @@
 TimingGraph` into flat numpy arrays — dense node slots, parallel arc
 arrays (source slot, destination slot, float64 delay), and a level-ordered
 CSR adjacency — and re-expresses arrival/required propagation as
-vectorized sweeps over level groups.  Because ``max``/``min`` are
-order-independent and every candidate is the same ``arrival[src] + delay``
-float64 expression the dict :class:`~repro.sta.timer.Timer` evaluates, the
-kernel's results are *bit-identical* to the reference propagation; the
-``REPRO_STA_AUDIT`` shadow check and ``repro.check.diff_arraytimer_vs_dict``
-both lean on that.
+vectorized sweeps over level groups.  It is the timer's only propagation
+engine.  Because ``max``/``min`` are order-independent and every candidate
+is the same ``arrival[src] + delay`` float64 expression the per-node
+reference sweeps (:meth:`~repro.sta.timer.Timer._full_state`,
+:meth:`~repro.sta.timer.Timer._min_arrivals`) evaluate, the kernel's
+results are *bit-identical* to them; the ``REPRO_STA_AUDIT`` shadow check
+leans on that.
 
-Absent values use infinity sentinels with the same algebra as the dict's
-missing keys: an unreached arrival is ``-inf`` (``-inf + delay`` never wins
-a max), an unconstrained required is ``+inf`` (``+inf - delay`` never wins
-a min), and an unknown min-arrival is ``+inf``.
+Absent values use infinity sentinels with the same algebra as the
+reference's missing keys: an unreached arrival is ``-inf`` (``-inf +
+delay`` never wins a max), an unconstrained required is ``+inf`` (``+inf -
+delay`` never wins a min), and an unknown min-arrival is ``+inf``.
 
 Incremental edits patch the arc arrays in place from the
 :class:`~repro.sta.graph.GraphPatch`'s exact arc delta — each dropped arc's
@@ -25,8 +26,7 @@ its delta, not the fanout of the nodes it touched.  The CSR orderings are
 rebuilt lazily on the next sweep.  Dirty-cone retiming is a masked
 sub-level sweep: dirty slots are bucketed by level, each bucket is
 recomputed in one vectorized gather/segment-reduce, and only the fanout of
-slots whose value actually changed seeds deeper levels — the exact
-wavefront the dict retime walks node by node.
+slots whose value actually changed seeds deeper levels.
 """
 
 from __future__ import annotations
@@ -151,8 +151,9 @@ class ArrayKernel:
 
     The kernel owns the authoritative float64 value arrays (``arrival``,
     ``required``, ``arrival_min``); the timer's dict state is materialized
-    from them after full sweeps and co-updated during retimes, so every
-    query path stays unchanged and bit-identical.
+    from them after full sweeps and co-updated during retimes, always as
+    Python floats, so every query reads the same values and types whichever
+    path last wrote them.
     """
 
     def __init__(self, graph: TimingGraph) -> None:
@@ -511,12 +512,12 @@ class ArrayKernel:
     def retime(self, timer) -> int:
         """Masked sub-level re-propagation of the timer's dirty cones.
 
-        Mirrors ``Timer._retime`` batch-for-batch: dirty slots are drained
-        in level order, each level's batch is recomputed in one vectorized
-        gather, and only slots whose value changed push their fanout
-        (arrival) or fanin (required) deeper.  The timer's dict state and
-        changed-cell set are co-updated so queries and
-        ``drain_changed_cells`` behave identically to the dict kernel.
+        Dirty slots are drained in level order, each level's batch is
+        recomputed in one vectorized gather, and only slots whose value
+        changed push their fanout (arrival) or fanin (required) deeper.
+        The timer's dict state (as Python floats, like a full sweep's) and
+        changed-cell set are co-updated for queries and
+        ``drain_changed_cells``.
         """
         g = self.graph
         csr = self._ensure_csr()
@@ -529,7 +530,8 @@ class ArrayKernel:
         reg = obs.get_registry()
 
         def note_changed(nid: int) -> None:
-            # Register D/Q seed pins only, as in Timer._retime_dict.
+            # A register D or Q seed pin whose value actually changed: the
+            # only nodes register_slack and feasible_region read.
             entry = g.capture_by_id.get(nid) or g.launch_by_id.get(nid)
             if entry is not None:
                 timer._changed_cells.add(entry[0].name)
@@ -596,19 +598,20 @@ class ArrayKernel:
             if len(idx) == 0:
                 continue
             self._arrival[slots] = new
+            new_vals = new.tolist()
             if track_min:
                 self._arrival_min[slots] = new_min
+                new_min_vals = new_min.tolist()
             for i in idx.tolist():
-                s = int(slots[i])
-                nid = ids[s]
+                nid = ids[slots[i]]
                 if changed[i]:
-                    v = new[i]
+                    v = new_vals[i]
                     if v == _NEG_INF:
                         st.arrival.pop(nid, None)
                     else:
                         st.arrival[nid] = v
                 if track_min and changed_min[i]:
-                    vm = new_min[i]
+                    vm = new_min_vals[i]
                     if vm == _POS_INF:
                         st.arrival_min.pop(nid, None)
                     else:
@@ -666,10 +669,10 @@ class ArrayKernel:
             if len(idx) == 0:
                 continue
             self._required[slots] = new
+            new_vals = new.tolist()
             for i in idx.tolist():
-                s = int(slots[i])
-                nid = ids[s]
-                v = new[i]
+                nid = ids[slots[i]]
+                v = new_vals[i]
                 if v == _POS_INF:
                     st.required.pop(nid, None)
                 else:

@@ -5,16 +5,18 @@ Timing is maintained *incrementally*: netlist edits hand the timer a
 which patches the cached timing graph in place and re-propagates only the
 dirty cones — arrivals forward from the changed nodes, required times
 backward — stopping at the frontier where recomputed values stop changing.
-Because the incremental pass recomputes each node with exactly the same
-arithmetic as a full pass, results are bit-identical; ``REPRO_STA_AUDIT=1``
-(or ``Timer.audit_mode``) shadow-checks that equivalence after every patch
-by rebuilding from scratch and comparing.  :meth:`Timer.dirty` remains the
-blanket full-rebuild fallback.
+Every propagation, full or incremental, runs through the vectorized
+:class:`~repro.sta.arraygraph.ArrayKernel`.  Because the incremental pass
+recomputes each node with exactly the same arithmetic as a full pass,
+results are bit-identical; ``REPRO_STA_AUDIT=1`` (or ``Timer.audit_mode``)
+shadow-checks that equivalence after every patch by rebuilding the graph
+from scratch and re-propagating it with the plain-Python reference sweeps
+(:meth:`Timer._full_state`, :meth:`Timer._min_arrivals`).
+:meth:`Timer.dirty` remains the blanket full-rebuild fallback.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
 from dataclasses import dataclass, field, replace
 
@@ -31,25 +33,10 @@ _NEG_INF = float("-inf")
 _POS_INF = float("inf")
 
 AUDIT_ENV = "REPRO_STA_AUDIT"
-KERNEL_ENV = "REPRO_STA_KERNEL"
-KERNELS = ("array", "dict")
 
 
 def _audit_env_enabled() -> bool:
     return os.environ.get(AUDIT_ENV, "") not in ("", "0")
-
-
-def _kernel_from_env() -> str:
-    """The propagation kernel selected by ``REPRO_STA_KERNEL`` (default
-    ``array``; set ``dict`` to opt out of the vectorized kernel)."""
-    val = os.environ.get(KERNEL_ENV, "").strip().lower()
-    if not val:
-        return "array"
-    if val not in KERNELS:
-        raise ValueError(
-            f"{KERNEL_ENV}={val!r}: expected one of {', '.join(KERNELS)}"
-        )
-    return val
 
 
 class TimingAuditError(AssertionError):
@@ -156,7 +143,6 @@ class Timer:
         output_delay: float = 0.0,
         technology: Technology | None = None,
         audit_mode: bool | None = None,
-        kernel: str | None = None,
     ) -> None:
         self.design = design
         self.clock_period = clock_period
@@ -165,14 +151,6 @@ class Timer:
         self.output_delay = output_delay
         self.tech = technology or design.library.technology
         self.audit_mode = _audit_env_enabled() if audit_mode is None else audit_mode
-        if kernel is None:
-            kernel = _kernel_from_env()
-        elif kernel not in KERNELS:
-            raise ValueError(
-                f"unknown timing kernel {kernel!r}: expected one of "
-                + ", ".join(KERNELS)
-            )
-        self.kernel = kernel
         self._kernel: ArrayKernel | None = None
         self.stats = TimerStats()
         self._graph: TimingGraph | None = None
@@ -332,7 +310,8 @@ class Timer:
         return None
 
     def _full_state(self, g: TimingGraph) -> _TimingState:
-        """From-scratch forward/backward propagation (also the audit oracle)."""
+        """From-scratch per-node forward/backward propagation in Python
+        floats: the reference the audit checks the kernel against."""
         st = _TimingState()
 
         # Forward: arrivals.
@@ -370,12 +349,12 @@ class Timer:
 
         return st
 
-    # -- array-kernel propagation (bit-identical to the dict reference) ------
+    # -- array-kernel propagation (bit-identical to the reference sweeps) ----
 
     def _arrival_seeds(self, k: ArrayKernel, g: TimingGraph, sentinel: float = _NEG_INF):
         """Per-slot arrival seeds (``sentinel`` = unseeded: ``-inf`` for the
-        max sweep, ``+inf`` for the min sweep), same arithmetic as the dict
-        pass."""
+        max sweep, ``+inf`` for the min sweep), same arithmetic as
+        :meth:`_full_state`."""
         seed = k.node_array(sentinel)
         for nid, (cell, _q) in g.launch_by_id.items():
             seed[k.slot(nid)] = self._clock_arrival(cell) + g.launch_delay[nid]
@@ -414,10 +393,7 @@ class Timer:
         g = self.graph
         if self._state is None:
             with obs.span("sta.full_timing", cat="sta") as sp:
-                if self.kernel == "array":
-                    self._state = self._full_state_array(g)
-                else:
-                    self._state = self._full_state(g)
+                self._state = self._full_state_array(g)
                 sp.set(graph_nodes=g.node_count)
             self._dirty_fwd.clear()
             self._dirty_bwd.clear()
@@ -447,13 +423,10 @@ class Timer:
         (required) plus its seed — the same max/min the batch pass
         evaluates — so values match a full recompute bit for bit, and the
         wave stops as soon as recomputed values equal the cached ones.
-        The array kernel runs the identical wavefront as masked per-level
-        batches (:meth:`~repro.sta.arraygraph.ArrayKernel.retime`).
+        The kernel runs the wavefront as masked per-level batches
+        (:meth:`~repro.sta.arraygraph.ArrayKernel.retime`).
         """
-        if self.kernel == "array":
-            touched = self._ensure_kernel(g).retime(self)
-        else:
-            touched = self._retime_dict(g)
+        touched = self._ensure_kernel(g).retime(self)
         self._dirty_fwd.clear()
         self._dirty_bwd.clear()
         self.stats.incremental_timings += 1
@@ -468,117 +441,6 @@ class Timer:
                 "sta.retime.cone_fraction", obs.FRACTION_BUCKETS
             ).observe(touched / g.node_count)
         self.stats.publish()
-
-    def _retime_dict(self, g: TimingGraph) -> int:
-        """The per-node reference wavefront over the dict state."""
-        st = self._state
-        assert st is not None
-        levels = g.levels()
-        track_min = st.arrival_min is not None
-        touched: set[int] = set()
-
-        def note_changed(nid: int) -> None:
-            # A register D or Q seed pin whose value actually changed: the
-            # only nodes register_slack and feasible_region read.  Drained
-            # by drain_changed_cells() for register-level consumers.
-            entry = g.capture_by_id.get(nid) or g.launch_by_id.get(nid)
-            if entry is not None:
-                self._changed_cells.add(entry[0].name)
-
-        # Forward cone: arrivals ascend by level.
-        heap: list[tuple[int, int]] = []
-        queued: set[int] = set()
-
-        def push_fwd(nid: int) -> None:
-            if nid not in queued:
-                queued.add(nid)
-                heapq.heappush(heap, (levels.get(nid, 0), nid))
-
-        for nid in self._dirty_fwd:
-            if g.contains(nid):
-                push_fwd(nid)
-            else:  # node left the graph: drop any lingering state
-                st.arrival.pop(nid, None)
-                st.required.pop(nid, None)
-                if track_min:
-                    st.arrival_min.pop(nid, None)
-        while heap:
-            _, nid = heapq.heappop(heap)
-            queued.discard(nid)
-            touched.add(nid)
-            changed = False
-            seed = self._arrival_seed(g, nid)
-            best = seed
-            for arc in g.fanin.get(nid, ()):
-                a = st.arrival.get(id(arc.src))
-                if a is not None:
-                    cand = a + arc.delay
-                    if best is None or cand > best:
-                        best = cand
-            if best != st.arrival.get(nid):
-                if best is None:
-                    st.arrival.pop(nid, None)
-                else:
-                    st.arrival[nid] = best
-                changed = True
-            if track_min:
-                worst = seed
-                for arc in g.fanin.get(nid, ()):
-                    a = st.arrival_min.get(id(arc.src))
-                    if a is not None:
-                        cand = a + arc.delay
-                        if worst is None or cand < worst:
-                            worst = cand
-                if worst != st.arrival_min.get(nid):
-                    if worst is None:
-                        st.arrival_min.pop(nid, None)
-                    else:
-                        st.arrival_min[nid] = worst
-                    changed = True
-            if changed:
-                note_changed(nid)
-                for arc in g.fanout.get(nid, ()):
-                    push_fwd(id(arc.dst))
-
-        # Backward cone: required times descend by level.
-        heap.clear()
-        queued.clear()
-
-        def push_bwd(nid: int) -> None:
-            if nid not in queued:
-                queued.add(nid)
-                heapq.heappush(heap, (-levels.get(nid, 0), nid))
-
-        for nid in self._dirty_bwd:
-            if g.contains(nid):
-                push_bwd(nid)
-            else:
-                st.arrival.pop(nid, None)
-                st.required.pop(nid, None)
-                if track_min:
-                    st.arrival_min.pop(nid, None)
-        while heap:
-            _, nid = heapq.heappop(heap)
-            queued.discard(nid)
-            touched.add(nid)
-            seed = self._required_seed(g, nid)
-            best = seed
-            for arc in g.fanout.get(nid, ()):
-                r = st.required.get(id(arc.dst))
-                if r is not None:
-                    cand = r - arc.delay
-                    if best is None or cand < best:
-                        best = cand
-            if best != st.required.get(nid):
-                if best is None:
-                    st.required.pop(nid, None)
-                else:
-                    st.required[nid] = best
-                note_changed(nid)
-                for arc in g.fanin.get(nid, ()):
-                    push_bwd(id(arc.src))
-
-        return len(touched)
 
     # -- audit ---------------------------------------------------------------
 
@@ -670,7 +532,8 @@ class Timer:
     # -- hold (min-delay) analysis ------------------------------------------------------
 
     def _min_arrivals(self, g: TimingGraph) -> dict[int, float]:
-        """Earliest arrivals (shortest paths) over one graph."""
+        """Earliest arrivals (shortest paths) over one graph, per node in
+        Python floats: the audit's reference for the kernel's min sweep."""
         arrival_min: dict[int, float] = {}
         for cell, q in g.launch_by_id.values():
             arrival_min[id(q)] = self._clock_arrival(cell) + g.launch_delay[id(q)]
@@ -692,15 +555,12 @@ class Timer:
         st = self._compute()
         if st.arrival_min is not None:
             return st.arrival_min
-        if self.kernel == "array":
-            g = self.graph
-            k = self._ensure_kernel(g)
-            st.arrival_min = k.full_forward(
-                self._arrival_seeds(k, g, _POS_INF), minimize=True
-            )
-            self.stats.kernel_sweeps += 1
-        else:
-            st.arrival_min = self._min_arrivals(self.graph)
+        g = self.graph
+        k = self._ensure_kernel(g)
+        st.arrival_min = k.full_forward(
+            self._arrival_seeds(k, g, _POS_INF), minimize=True
+        )
+        self.stats.kernel_sweeps += 1
         return st.arrival_min
 
     def hold_slacks(self) -> list[EndpointSlack]:
