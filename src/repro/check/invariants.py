@@ -27,7 +27,7 @@ from repro.netlist.db import Pin, Port
 from repro.netlist.design import Design
 from repro.netlist.registers import RegisterView
 from repro.placement.rows import PlacementRows
-from repro.scan.model import ScanModel
+from repro.scan.model import ScanChain, ScanModel
 from repro.sta.graph import TimingGraph
 from repro.sta.timer import Timer
 
@@ -483,9 +483,11 @@ def check_scan(scan_model: ScanModel, design: Design | None = None) -> list[Viol
             )
 
     # Hamiltonian-path check over each chain's physical hops: every
-    # consecutive (SO, SI) pair must share a net driven by the SO pin.
+    # consecutive (SO, SI) pair must share a net driven by the SO pin, and
+    # the path runs from the chain's scan-in net to its scan-out net.
     for chain in scan_model.chains.values():
         hops = scan_model._chain_hops(design, chain)
+        out += _check_chain_ends(chain, hops, design)
         for (so_pin, _), (_, si_pin) in zip(hops[:-1], hops[1:]):
             if si_pin.net is None or si_pin.net is not so_pin.net:
                 out.append(
@@ -508,6 +510,50 @@ def check_scan(scan_model: ScanModel, design: Design | None = None) -> list[Viol
                     )
                 )
 
+    return out
+
+
+def _check_chain_ends(chain: ScanChain, hops, design: Design) -> list[Violation]:
+    """The head's SI sits on the chain's source net, the tail's SO drives
+    its sink net, and an emptied chain is bridged (``sink_net ==
+    source_net``) — each checked only where the chain's nets exist."""
+    out: list[Violation] = []
+    source = chain.source_net if chain.source_net in design.nets else None
+    sink = chain.sink_net if chain.sink_net in design.nets else None
+    subject = f"chain {chain.name}"
+    if not hops:
+        if source is not None and sink is not None and sink != source:
+            out.append(
+                Violation(
+                    "scan-chain-unbridged",
+                    subject,
+                    f"no hops left, but scan-out net {sink} is not bridged "
+                    f"to scan-in net {source}",
+                )
+            )
+        return out
+    head_si = hops[0][1]
+    if source is not None and (head_si.net is None or head_si.net.name != source):
+        out.append(
+            Violation(
+                "scan-chain-head-off-source",
+                subject,
+                f"head {head_si.full_name} is on "
+                f"{head_si.net.name if head_si.net else None}, not {source}",
+            )
+        )
+    tail_so = hops[-1][0]
+    if sink is not None and design.nets[sink].driver is not tail_so:
+        driver = design.nets[sink].driver
+        out.append(
+            Violation(
+                "scan-chain-tail-off-sink",
+                subject,
+                f"scan-out net {sink} driven by "
+                f"{driver.full_name if driver else None}, not tail "
+                f"{tail_so.full_name}",
+            )
+        )
     return out
 
 

@@ -423,35 +423,52 @@ class ScanModel:
     def restitch(self, design: Design) -> int:
         """Rewire every chain's SI/SO nets to match the model's order.
 
-        Intermediate stitch nets are recreated as needed; the chain head is
-        re-attached to the chain's external scan-in source and the tail to
-        its scan-out destination (learned on the first call).  A chain whose
-        registers all merged away is bridged source-to-sink.  Multi-scan
-        MBRs are threaded bit by bit.  Returns the number of stitch nets
-        created.
+        Runs over all chains in three passes, so no chain's wiring can
+        capture another chain's ends:
+
+        1. thread each chain's inner hops, scan-out to the next hop's
+           scan-in, reusing a hop's own scan-out net but never a net that
+           is some chain's external scan-in source or scan-out destination
+           (learned on the first call);
+        2. attach each chain's head to its source net and its tail to its
+           sink net;
+        3. bridge each chain whose registers all merged away
+           source-to-sink.
+
+        Multi-scan MBRs are threaded bit by bit.  Returns the number of
+        stitch nets created.
         """
+        chain_hops = [
+            (chain, self._chain_hops(design, chain)) for chain in self.chains.values()
+        ]
+        for chain, hops in chain_hops:
+            if hops:
+                self._learn_boundaries(chain, hops)
+        boundary = {
+            name
+            for chain in self.chains.values()
+            for name in (chain.source_net, chain.sink_net)
+            if name is not None
+        }
         created = 0
-        for chain in self.chains.values():
-            hops = self._chain_hops(design, chain)
-            if not hops:
-                self._bridge_empty_chain(design, chain)
-                continue
-            self._learn_boundaries(design, chain, hops)
-            self._attach_head(design, chain, hops)
+        for _chain, hops in chain_hops:
             for (so_pin, _), (_, si_pin) in zip(hops[:-1], hops[1:]):
-                if so_pin.net is not None and si_pin.net is so_pin.net:
-                    continue  # already stitched
                 net = so_pin.net
-                if net is None or net.driver is not so_pin:
+                if net is None or net.name in boundary or net.driver is not so_pin:
                     net = design.add_net(design.unique_name("scan_stitch"))
                     design.connect(so_pin, net)
                     created += 1
                 design.connect(si_pin, net)
-            self._attach_tail(design, chain, hops)
+        for chain, hops in chain_hops:
+            if hops:
+                self._attach_ends(design, chain, hops)
+        for chain, hops in chain_hops:
+            if not hops:
+                self._bridge_empty_chain(design, chain)
         self._sweep_orphan_stitches(design)
         return created
 
-    def _learn_boundaries(self, design: Design, chain: ScanChain, hops) -> None:
+    def _learn_boundaries(self, chain: ScanChain, hops) -> None:
         """Record the chain's external source/sink nets on first sight."""
         head_si = hops[0][1]
         if chain.source_net is None and head_si.net is not None and head_si.net.driver is not None:
@@ -460,21 +477,18 @@ class ScanModel:
         if chain.sink_net is None and tail_so.net is not None and tail_so.net.sinks:
             chain.sink_net = tail_so.net.name
 
-    def _attach_head(self, design: Design, chain: ScanChain, hops) -> None:
-        head_si = hops[0][1]
-        if head_si.net is not None and head_si.net.driver is not None:
-            return  # still properly sourced
-        if chain.source_net is not None and chain.source_net in design.nets:
-            design.connect(head_si, design.nets[chain.source_net])
-
-    def _attach_tail(self, design: Design, chain: ScanChain, hops) -> None:
-        tail_so = hops[-1][0]
-        if chain.sink_net is None or chain.sink_net not in design.nets:
-            return
-        sink_net = design.nets[chain.sink_net]
-        if sink_net.driver is tail_so:
-            return
-        if sink_net.driver is None:
+    def _attach_ends(self, design: Design, chain: ScanChain, hops) -> None:
+        """Put the head's scan-in on the chain's source net and make the
+        tail's scan-out the only driver of its sink net.  A foreign driver
+        there is another chain's old tail; its own chain re-attaches it."""
+        if chain.source_net in design.nets:
+            design.connect(hops[0][1], design.nets[chain.source_net])
+        if chain.sink_net in design.nets:
+            sink_net = design.nets[chain.sink_net]
+            tail_so = hops[-1][0]
+            driver = sink_net.driver
+            if driver is not None and driver is not tail_so:
+                design.disconnect(driver)
             design.connect(tail_so, sink_net)
 
     def _bridge_empty_chain(self, design: Design, chain: ScanChain) -> None:

@@ -239,6 +239,64 @@ class TestCheckScanStitch:
         assert check_scan(model, design) == []
 
 
+class TestChainEnds:
+    """After a full flow every chain still runs from its own scan-in net to
+    its own scan-out net: reordering must not leave a head on a stitch net
+    or let an inner hop capture some chain's scan-out net, and a chain
+    whose registers all merged away is bridged."""
+
+    @pytest.mark.parametrize(
+        ("name", "scale"), [("D1", 0.25), ("D2", 0.25), ("D5", 0.4)]
+    )
+    def test_flow_keeps_chain_ends_on_their_nets(self, lib, name, scale):
+        from repro.bench import generate_design, preset
+        from repro.check import assert_clean, check_all
+        from repro.flow import run_flow
+
+        b = generate_design(preset(name, scale=scale), lib)
+        run_flow(b.design, b.timer, b.scan_model)
+        assert_clean(check_all(b.design, b.timer, b.scan_model))
+        for chain in b.scan_model.chains.values():
+            hops = b.scan_model._chain_hops(b.design, chain)
+            if hops:
+                assert hops[0][1].net.name == chain.source_net
+                assert b.design.nets[chain.sink_net].driver is hops[-1][0]
+            else:
+                assert chain.sink_net == chain.source_net
+
+    def test_head_moved_off_its_scan_in_net_is_reported(self, lib):
+        from repro.check import check_scan
+        from tests.conftest import make_flop_row
+
+        design = make_flop_row(lib, n_flops=4, func_class=DFF_R_S, name="ends")
+        model = ScanModel.from_design(design)
+        assert check_scan(model, design) == []
+        chain = next(iter(model.chains.values()))
+        stray = design.add_net("stray")
+        design.connect(design.cell(chain.cells[0]).pin("SI"), stray)
+        design.disconnect(design.cell(chain.cells[-1]).pin("SO"))
+        checks = sorted(v.check for v in check_scan(model, design))
+        assert checks == ["scan-chain-head-off-source", "scan-chain-tail-off-sink"]
+
+    def test_emptied_chain_is_bridged(self, lib):
+        from repro.check import check_scan
+        from tests.conftest import make_flop_row
+
+        design = make_flop_row(lib, n_flops=4, func_class=DFF_R_S, name="gone")
+        design.disconnect(design.cell("ff0").pin("SI"))
+        design.disconnect(design.cell("ff3").pin("SO"))
+        model = ScanModel()
+        model.add_chain(
+            ScanChain("gone", partition="P0", source_net="n_si", sink_net="n_so")
+        )
+        assert [v.check for v in check_scan(model, design)] == ["scan-chain-unbridged"]
+        model.restitch(design)
+        assert model.chains["gone"].sink_net == "n_si"
+        assert "n_so" not in design.nets
+        assert design.ports["so"].net is design.nets["n_si"]
+        assert check_scan(model, design) == []
+
+
 class TestFromDesign:
     def test_extracts_generator_chains(self, lib):
         from repro.bench import generate_design, preset
