@@ -119,7 +119,10 @@ def check_design(design: Design) -> list[Violation]:
     # ``full_name`` (unique per the name-key checks above), NOT ``id()``:
     # terminal views are weakly cached, so two visits to the same terminal
     # may build distinct objects — and worse, a recycled object address can
-    # alias two different terminals across loop iterations.
+    # alias two different terminals across loop iterations.  Holding every
+    # terminal view for the whole check makes the net walks below find
+    # them in the cache instead of building each one again per pass.
+    terminals = list(design.iter_terminals())
     memberships: dict[str, list[str]] = {}
     for net in design.nets.values():
         for t in net.terminals:
@@ -133,7 +136,7 @@ def check_design(design: Design) -> list[Violation]:
                         f"listed on net {net.name} but points at {holder!r}",
                     )
                 )
-    for t in design.iter_terminals():
+    for t in terminals:
         nets = memberships.get(t.full_name, [])
         if len(nets) > 1:
             out.append(
@@ -226,7 +229,7 @@ def check_timing(timer: Timer) -> list[Violation]:
     * the cached graph matches a from-scratch :class:`TimingGraph` build:
       same arc multiset, same launch/capture/port seeds, same launch
       delays, and node refcounts in agreement (nodes retire exactly when
-      their last arc or seed role disappears);
+      their last arc or seed role disappears), all keyed by terminal id;
     * no skew entry dangles on a cell missing from the design;
     * summary consistency: TNS equals the sum of negative endpoint
       slacks, WNS the minimum slack, and the failing count the number of
@@ -247,16 +250,7 @@ def check_timing(timer: Timer) -> list[Violation]:
 
     g = timer.graph  # builds fresh if nothing is cached — then trivially equal
     fresh = TimingGraph(design, timer.tech)
-
-    def arc_multiset(graph: TimingGraph) -> dict[tuple[int, int, float], int]:
-        counts: dict[tuple[int, int, float], int] = {}
-        for arcs in graph.fanout.values():
-            for arc in arcs:
-                key = (id(arc.src), id(arc.dst), arc.delay)
-                counts[key] = counts.get(key, 0) + 1
-        return counts
-
-    live_arcs, fresh_arcs = arc_multiset(g), arc_multiset(fresh)
+    live_arcs, fresh_arcs = g.arc_multiset(), fresh.arc_multiset()
     if live_arcs != fresh_arcs:
         out.append(
             Violation(
@@ -270,10 +264,10 @@ def check_timing(timer: Timer) -> list[Violation]:
     for label, live_map, fresh_map in (
         ("launch pins", g.launch_by_id, fresh.launch_by_id),
         ("capture pins", g.capture_by_id, fresh.capture_by_id),
-        ("input ports", g.input_ports_by_id, fresh.input_ports_by_id),
-        ("output ports", g.output_ports_by_id, fresh.output_ports_by_id),
+        ("input ports", g.input_ports, fresh.input_ports),
+        ("output ports", g.output_ports, fresh.output_ports),
     ):
-        if set(live_map) != set(fresh_map):
+        if live_map != fresh_map:
             out.append(
                 Violation(
                     "timer-graph-seeds",
@@ -292,14 +286,11 @@ def check_timing(timer: Timer) -> list[Violation]:
         )
     if g._refs != fresh._refs:
         diff = {
-            nid
-            for nid in g._refs.keys() | fresh._refs.keys()
-            if g._refs.get(nid) != fresh._refs.get(nid)
+            tid
+            for tid in g._refs.keys() | fresh._refs.keys()
+            if g._refs.get(tid) != fresh._refs.get(tid)
         }
-        names = sorted(
-            getattr(g._nodes.get(nid) or fresh._nodes.get(nid), "full_name", "?")
-            for nid in diff
-        )
+        names = sorted(design.store.terminal_name(tid) for tid in diff)
         out.append(
             Violation(
                 "timer-node-refcounts",

@@ -403,6 +403,24 @@ class NetlistStore:
             yield tid
             tid = self._get_next(tid)
 
+    @property
+    def tid_space(self) -> int:
+        """One past the largest terminal id any pin or port can have."""
+        return max(2 * self._pin_top, 2 * len(self.port_name))
+
+    def terminal_name(self, tid: int) -> str:
+        """A terminal's ``Pin.full_name``/``Port.name`` without a view
+        (``<free pin slot N>`` for a pin slot no live cell owns)."""
+        if tid & 1:
+            return self.port_name[tid >> 1]
+        slot = tid >> 1
+        cid = int(self.pin_cell[slot])
+        rec = self.libs[self.cell_lib[cid]]
+        index = slot - int(self.cell_pin0[cid])
+        if self.cell_name[cid] is None or not 0 <= index < rec.n_pins:
+            return f"<free pin slot {slot}>"
+        return f"{self.cell_name[cid]}/{rec.pins[index].name}"
+
     def terminal_xy(self, tid: int) -> tuple[float, float]:
         """A terminal's location without materializing a view."""
         if tid & 1:

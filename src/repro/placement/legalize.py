@@ -15,6 +15,7 @@ from repro.geometry.gridindex import RowIntervals
 from repro.geometry.point import Point
 from repro.netlist.db import Cell
 from repro.netlist.design import Design
+from repro.netlist.store import FIXED, NetlistStore
 from repro.placement.rows import PlacementRows
 
 
@@ -63,20 +64,21 @@ def legalize(
     """
     result = LegalizeResult()
     spaces = [RowIntervals() for _ in range(rows.num_rows)]
+    occupy = _occupier(spaces, rows)
+    store = design.store
+    flags = store.cell_flags
     movable_set = (
         {c.name for c in movable if not c.fixed}
         if movable is not None
-        else {c.name for c in design.cells.values() if not c.fixed}
+        else {n for n, cid in store.cell_ids.items() if not flags[cid] & FIXED}
     )
 
     if obstacles is not None:
         for cell in obstacles:
             if cell.name not in movable_set:
-                _occupy_cell(spaces, rows, cell)
+                _occupy_cell(occupy, cell)
     else:
-        for cell in design.cells.values():
-            if cell.name not in movable_set:
-                _occupy_cell(spaces, rows, cell)
+        _occupy_store(occupy, store, movable_set)
 
     order = sorted(
         (design.cells[name] for name in movable_set),
@@ -86,24 +88,52 @@ def legalize(
         target = _seat(spaces, rows, cell, max_displacement)
         if target is None:
             result.failed.append(cell.name)
-            _occupy_cell(spaces, rows, cell)  # stays put, still blocks others
+            _occupy_cell(occupy, cell)  # stays put, still blocks others
             continue
         old = cell.origin
         design.move_cell(cell, target)
-        _occupy_cell(spaces, rows, cell)
+        _occupy_cell(occupy, cell)
         result.moved[cell.name] = (old, target)
     return result
 
 
-def _occupy_cell(spaces: list[RowIntervals], rows: PlacementRows, cell: Cell) -> None:
-    """Mark a cell's sites as occupied in every row it touches."""
+def _occupier(spaces: list[RowIntervals], rows: PlacementRows):
+    """``occupy(xlo, ylo, xhi, yhi)``: mark a footprint's sites occupied in
+    every row it touches."""
+    core_x, core_y = rows.core.xlo, rows.core.ylo
+    site_w, row_h = rows.site_width, rows.row_height
+    last_row, n_sites = rows.num_rows - 1, rows.sites_per_row
+
+    def occupy(xlo: float, ylo: float, xhi: float, yhi: float) -> None:
+        lo_site = int((xlo - core_x) / site_w)
+        hi_site = max(lo_site + 1, int(-(-(xhi - core_x) // site_w)))
+        r0 = max(0, int((ylo - core_y) / row_h))
+        r1 = min(last_row, int((yhi - core_y - 1e-9) / row_h))
+        for r in range(r0, r1 + 1):
+            spaces[r].occupy(max(lo_site, 0), min(hi_site, n_sites))
+
+    return occupy
+
+
+def _occupy_cell(occupy, cell: Cell) -> None:
     fp = cell.footprint
-    lo_site = int((fp.xlo - rows.core.xlo) / rows.site_width)
-    hi_site = max(lo_site + 1, int(-(-(fp.xhi - rows.core.xlo) // rows.site_width)))
-    r0 = max(0, int((fp.ylo - rows.core.ylo) / rows.row_height))
-    r1 = min(rows.num_rows - 1, int((fp.yhi - rows.core.ylo - 1e-9) / rows.row_height))
-    for r in range(r0, r1 + 1):
-        spaces[r].occupy(max(lo_site, 0), min(hi_site, rows.sites_per_row))
+    occupy(fp.xlo, fp.ylo, fp.xhi, fp.yhi)
+
+
+def _occupy_store(occupy, store: NetlistStore, movable: set[str]) -> None:
+    """Occupy every cell outside ``movable`` from the store columns.
+
+    The footprint is ``Cell.footprint``'s: origin plus library width and
+    height, in the same float arithmetic, so the occupancy is the one the
+    cell views would give, without making them.
+    """
+    xs, ys, lids = store.cell_x.tolist(), store.cell_y.tolist(), store.cell_lib.tolist()
+    sizes = [(rec.libcell.width, rec.libcell.height) for rec in store.libs]
+    for name, cid in store.cell_ids.items():
+        if name not in movable:
+            x, y = xs[cid], ys[cid]
+            w, h = sizes[lids[cid]]
+            occupy(x, y, x + w, y + h)
 
 
 def _seat(

@@ -1,13 +1,16 @@
 """Array-backed timing kernel: CSR adjacency + vectorized level sweeps.
 
 :class:`ArrayKernel` compiles the object-graph :class:`~repro.sta.graph.
-TimingGraph` into flat numpy arrays — dense node slots, parallel arc
-arrays (source slot, destination slot, float64 delay), and a level-ordered
-CSR adjacency — and re-expresses arrival/required propagation as
-vectorized sweeps over level groups.  It is the timer's only propagation
-engine.  Because ``max``/``min`` are order-independent and every candidate
-is the same ``arrival[src] + delay`` float64 expression the per-node
-reference sweeps (:meth:`~repro.sta.timer.Timer._full_state`,
+TimingGraph` into flat numpy arrays — value arrays indexed by terminal id
+(a node's slot *is* its store terminal id, so there is no id map and no
+free list), parallel arc arrays (source, destination, float64 delay), and
+a level-ordered CSR adjacency over the vectorized levels of
+:meth:`~repro.sta.graph.TimingGraph.levels` — and re-expresses
+arrival/required propagation as vectorized sweeps over level groups.  It
+is the timer's only propagation engine.  Because ``max``/``min`` are
+order-independent and every candidate is the same ``arrival[src] +
+delay`` float64 expression the per-node reference sweeps
+(:meth:`~repro.sta.timer.Timer._full_state`,
 :meth:`~repro.sta.timer.Timer._min_arrivals`) evaluate, the kernel's
 results are *bit-identical* to them; the ``REPRO_STA_AUDIT`` shadow check
 leans on that.
@@ -149,34 +152,20 @@ def _concat_ranges(
 class ArrayKernel:
     """Flat-array mirror of one :class:`TimingGraph`, with vectorized sweeps.
 
-    The kernel owns the authoritative float64 value arrays (``arrival``,
-    ``required``, ``arrival_min``); the timer's dict state is materialized
-    from them after full sweeps and co-updated during retimes, always as
-    Python floats, so every query reads the same values and types whichever
-    path last wrote them.
+    A node's slot is its terminal id, so the value arrays span the store's
+    terminal-id space and grow with it; slots that are not graph nodes hold
+    the sentinels.  The kernel owns the authoritative float64 value arrays
+    (``arrival``, ``required``, ``arrival_min``); the timer's dict state is
+    materialized from them after full sweeps and co-updated during
+    retimes, always as Python floats, so every query reads the same values
+    and types whichever path last wrote them.
     """
 
     def __init__(self, graph: TimingGraph) -> None:
         self.graph = graph
-        self.has_min = False
         self._csr: _Csr | None = None
         with obs.span("sta.kernel.compile", cat="sta") as sp:
-            ids: list[int] = []
-            index: dict[int, int] = {}
-            for nid in graph._nodes:
-                index[nid] = len(ids)
-                ids.append(nid)
-            for nid in (*graph.input_ports_by_id, *graph.output_ports_by_id):
-                if nid not in index:
-                    index[nid] = len(ids)
-                    ids.append(nid)
-            self._ids = ids
-            self._index = index
-            self._free: list[int] = []
-            cap = max(len(ids), 16)
-            self._node_alive = np.zeros(cap, dtype=bool)
-            self._node_alive[: len(ids)] = True
-            self._level = np.zeros(cap, dtype=np.int64)
+            cap = graph.design.store.tid_space
             self._arrival = np.full(cap, _NEG_INF)
             self._required = np.full(cap, _POS_INF)
             self._arrival_min = np.full(cap, _POS_INF)
@@ -188,39 +177,26 @@ class ArrayKernel:
             self._adst = np.empty(acap, dtype=np.int64)
             self._adelay = np.empty(acap, dtype=np.float64)
             self._aalive = np.zeros(acap, dtype=bool)
-            self._asrc[:n] = np.fromiter(
-                (index[id(a.src)] for a in arcs), dtype=np.int64, count=n
-            )
-            self._adst[:n] = np.fromiter(
-                (index[id(a.dst)] for a in arcs), dtype=np.int64, count=n
-            )
-            self._adelay[:n] = np.fromiter(
-                (a.delay for a in arcs), dtype=np.float64, count=n
-            )
+            self._asrc[:n] = np.fromiter((a.src for a in arcs), np.int64, n)
+            self._adst[:n] = np.fromiter((a.dst for a in arcs), np.int64, n)
+            self._adelay[:n] = np.fromiter((a.delay for a in arcs), np.float64, n)
             self._aalive[:n] = True
             for row, arc in enumerate(arcs):
                 arc.row = row
             self._n_arcs = n
             self._n_dead = 0
-            sp.set(nodes=len(ids), arcs=n)
+            sp.set(nodes=graph.node_count, arcs=n)
         reg = obs.get_registry()
         reg.counter("sta.kernel.compiles").inc()
 
     # -- slots ---------------------------------------------------------------
 
-    @property
-    def n_slots(self) -> int:
-        return len(self._ids)
-
-    def slot(self, nid: int) -> int:
-        return self._index[nid]
-
     def node_array(self, fill: float) -> np.ndarray:
         """A fresh per-slot float array initialized to ``fill``."""
-        return np.full(len(self._ids), fill)
+        return np.full(len(self._arrival), fill)
 
     def _grow_nodes(self, need: int) -> None:
-        cap = len(self._node_alive)
+        cap = len(self._arrival)
         if need <= cap:
             return
         new_cap = max(need, 2 * cap)
@@ -230,41 +206,15 @@ class ArrayKernel:
             out[:cap] = arr
             return out
 
-        self._node_alive = grown(self._node_alive, False)
-        self._level = grown(self._level, 0)
         self._arrival = grown(self._arrival, _NEG_INF)
         self._required = grown(self._required, _POS_INF)
         self._arrival_min = grown(self._arrival_min, _POS_INF)
 
-    def ensure_slot(self, nid: int) -> int:
-        s = self._index.get(nid)
-        if s is not None:
-            return s
-        if self._free:
-            s = self._free.pop()
-            self._ids[s] = nid
-        else:
-            s = len(self._ids)
-            self._ids.append(nid)
-            self._grow_nodes(s + 1)
-        self._index[nid] = s
-        self._node_alive[s] = True
-        self._level[s] = 0
-        self._arrival[s] = _NEG_INF
-        self._required[s] = _POS_INF
-        self._arrival_min[s] = _POS_INF
-        return s
-
-    def drop_slot(self, nid: int) -> None:
-        s = self._index.pop(nid, None)
-        if s is None:
-            return
-        self._node_alive[s] = False
-        self._arrival[s] = _NEG_INF
-        self._required[s] = _POS_INF
-        self._arrival_min[s] = _POS_INF
-        self._level[s] = 0
-        self._free.append(s)
+    def _clear(self, tids: list[int]) -> None:
+        """Reset slots to the sentinels (their nodes left or went stale)."""
+        self._arrival[tids] = _NEG_INF
+        self._required[tids] = _POS_INF
+        self._arrival_min[tids] = _POS_INF
 
     # -- patching ------------------------------------------------------------
 
@@ -299,42 +249,28 @@ class ArrayKernel:
 
         The patch carries its exact arc delta: the row of every dropped
         arc is tombstoned and every added arc is appended as a new row, so
-        the alive rows stay the graph's live arc multiset.  Node slots
-        follow ``dirty``/``removed``: nodes that left the graph release
-        their slots, and new nodes get one.
+        the alive rows stay the graph's live arc multiset.  The value
+        arrays grow to the store's terminal-id space, and every removed
+        terminal's slot is cleared — also when a cell added in the same
+        edit took over its freed pin slot: the timer popped its dict state
+        too, and the retime reinstates both from the seeds.
         """
-        g = self.graph
         self._csr = None
+        self._grow_nodes(self.graph.design.store.tid_space)
         alive = self._aalive
         for arc in patch.dropped:
             alive[arc.row] = False
             arc.row = -1
         self._n_dead += len(patch.dropped)
-        for nid in patch.removed:
-            if not g.contains(nid):
-                self.drop_slot(nid)
-            else:
-                # Released and re-added within one patch (e.g. a rebuilt
-                # net's driver): the timer popped its dict state, so clear
-                # the slot too — the retime reinstates both from the seed.
-                s = self._index.get(nid)
-                if s is not None:
-                    self._arrival[s] = _NEG_INF
-                    self._required[s] = _POS_INF
-                    self._arrival_min[s] = _POS_INF
-        for nid in patch.dirty:
-            if g.contains(nid):
-                self.ensure_slot(nid)
-            else:
-                self.drop_slot(nid)
+        self._clear(list(patch.removed))
         base = self._n_arcs
         src: list[int] = []
         dst: list[int] = []
         delay: list[float] = []
         for row, arc in enumerate(patch.added, base):
             arc.row = row
-            src.append(self._index[id(arc.src)])
-            dst.append(self._index[id(arc.dst)])
+            src.append(arc.src)
+            dst.append(arc.dst)
             delay.append(arc.delay)
         self._append_arc_rows(src, dst, delay)
         if (
@@ -367,17 +303,13 @@ class ArrayKernel:
     def _ensure_csr(self) -> _Csr:
         if self._csr is not None:
             return self._csr
-        g = self.graph
-        lv = g.levels()
-        level = self._level
-        for nid, s in self._index.items():
-            level[s] = lv.get(nid, 0)
+        level = self.graph.levels()
         n = self._n_arcs
         alive_idx = np.nonzero(self._aalive[:n])[0]
         src = self._asrc[alive_idx]
         dst = self._adst[alive_idx]
         delay = self._adelay[alive_idx]
-        n_slots = len(self._ids)
+        n_slots = len(self._arrival)
 
         dlv = level[dst]
         order = np.lexsort((dst, dlv))
@@ -442,13 +374,11 @@ class ArrayKernel:
             seg = op.reduceat(cand, bounds[seg_lo:seg_hi] - a_lo)
             dsts = csr.fseg_dst[seg_lo:seg_hi]
             arr[dsts] = op(arr[dsts], seg)
-        n = len(self._ids)
         if minimize:
-            self._arrival_min[:n] = arr
-            self.has_min = True
+            self._arrival_min = arr
             sentinel = _POS_INF
         else:
-            self._arrival[:n] = arr
+            self._arrival = arr
             sentinel = _NEG_INF
         obs.get_registry().counter("sta.kernel.sweeps").inc()
         return self._as_dict(arr, sentinel)
@@ -468,17 +398,14 @@ class ArrayKernel:
             seg = np.minimum.reduceat(cand, bounds[seg_lo:seg_hi] - a_lo)
             srcs = csr.bseg_src[seg_lo:seg_hi]
             req[srcs] = np.minimum(req[srcs], seg)
-        n = len(self._ids)
-        self._required[:n] = req
+        self._required = req
         obs.get_registry().counter("sta.kernel.sweeps").inc()
         return self._as_dict(req, _POS_INF)
 
-    def _as_dict(self, arr: np.ndarray, sentinel: float) -> dict[int, float]:
-        n = len(self._ids)
-        live = np.nonzero(self._node_alive[:n] & (arr[:n] != sentinel))[0]
-        vals = arr[live].tolist()
-        ids = self._ids
-        return {ids[s]: v for s, v in zip(live.tolist(), vals)}
+    @staticmethod
+    def _as_dict(arr: np.ndarray, sentinel: float) -> dict[int, float]:
+        live = np.nonzero(arr != sentinel)[0]
+        return dict(zip(live.tolist(), arr[live].tolist()))
 
     # -- masked dirty-cone retime ---------------------------------------------
 
@@ -521,27 +448,31 @@ class ArrayKernel:
         """
         g = self.graph
         csr = self._ensure_csr()
+        level = g.levels()
+        cell_name = g.design.store.cell_name
         st = timer._state
         track_min = st.arrival_min is not None
-        level = self._level
-        ids = self._ids
         touched: set[int] = set()
         batches = 0
         reg = obs.get_registry()
 
-        def note_changed(nid: int) -> None:
+        def note_changed(tid: int) -> None:
             # A register D or Q seed pin whose value actually changed: the
             # only nodes register_slack and feasible_region read.
-            entry = g.capture_by_id.get(nid) or g.launch_by_id.get(nid)
-            if entry is not None:
-                timer._changed_cells.add(entry[0].name)
+            cid = g.capture_by_id.get(tid)
+            if cid is None:
+                cid = g.launch_by_id.get(tid)
+            if cid is not None:
+                timer._changed_cells.add(cell_name[cid])
 
-        def drop_stale(nid: int) -> None:
-            st.arrival.pop(nid, None)
-            st.required.pop(nid, None)
+        def drop_stale(tid: int) -> None:
+            # A dirty terminal that is no node now (a port that left the
+            # port sets): forget its values.
+            st.arrival.pop(tid, None)
+            st.required.pop(tid, None)
             if track_min:
-                st.arrival_min.pop(nid, None)
-            self.drop_slot(nid)
+                st.arrival_min.pop(tid, None)
+            self._clear([tid])
 
         # Forward cone: arrivals ascend by level.
         buckets: dict[int, set[int]] = {}
@@ -556,11 +487,11 @@ class ArrayKernel:
             else:
                 b.add(s)
 
-        for nid in timer._dirty_fwd:
-            if g.contains(nid):
-                push_fwd(self.ensure_slot(nid))
+        for tid in timer._dirty_fwd:
+            if g.contains(tid):
+                push_fwd(tid)
             else:
-                drop_stale(nid)
+                drop_stale(tid)
 
         while heap:
             lv = heappop(heap)
@@ -574,7 +505,7 @@ class ArrayKernel:
             slots.sort()
             seed = np.full(len(slots), _NEG_INF)
             for i, s in enumerate(slots.tolist()):
-                sv = timer._arrival_seed(g, ids[s])
+                sv = timer._arrival_seed(g, s)
                 if sv is not None:
                     seed[i] = sv
             new = self._recompute(
@@ -602,21 +533,22 @@ class ArrayKernel:
             if track_min:
                 self._arrival_min[slots] = new_min
                 new_min_vals = new_min.tolist()
+            slot_ids = slots.tolist()
             for i in idx.tolist():
-                nid = ids[slots[i]]
+                tid = slot_ids[i]
                 if changed[i]:
                     v = new_vals[i]
                     if v == _NEG_INF:
-                        st.arrival.pop(nid, None)
+                        st.arrival.pop(tid, None)
                     else:
-                        st.arrival[nid] = v
+                        st.arrival[tid] = v
                 if track_min and changed_min[i]:
                     vm = new_min_vals[i]
                     if vm == _POS_INF:
-                        st.arrival_min.pop(nid, None)
+                        st.arrival_min.pop(tid, None)
                     else:
-                        st.arrival_min[nid] = vm
-                note_changed(nid)
+                        st.arrival_min[tid] = vm
+                note_changed(tid)
             ch = slots[idx]
             tidx, _, _ = _concat_ranges(
                 csr.fanout_start[ch], csr.fanout_end[ch] - csr.fanout_start[ch]
@@ -638,11 +570,11 @@ class ArrayKernel:
             else:
                 b.add(s)
 
-        for nid in timer._dirty_bwd:
-            if g.contains(nid):
-                push_bwd(self.ensure_slot(nid))
+        for tid in timer._dirty_bwd:
+            if g.contains(tid):
+                push_bwd(tid)
             else:
-                drop_stale(nid)
+                drop_stale(tid)
 
         while heap:
             lv = heappop(heap)
@@ -656,7 +588,7 @@ class ArrayKernel:
             slots.sort()
             seed = np.full(len(slots), _POS_INF)
             for i, s in enumerate(slots.tolist()):
-                sv = timer._required_seed(g, ids[s])
+                sv = timer._required_seed(g, s)
                 if sv is not None:
                     seed[i] = sv
             new = self._recompute(
@@ -670,14 +602,15 @@ class ArrayKernel:
                 continue
             self._required[slots] = new
             new_vals = new.tolist()
+            slot_ids = slots.tolist()
             for i in idx.tolist():
-                nid = ids[slots[i]]
+                tid = slot_ids[i]
                 v = new_vals[i]
                 if v == _POS_INF:
-                    st.required.pop(nid, None)
+                    st.required.pop(tid, None)
                 else:
-                    st.required[nid] = v
-                note_changed(nid)
+                    st.required[tid] = v
+                note_changed(tid)
             ch = slots[idx]
             tidx, _, _ = _concat_ranges(
                 csr.fanin_start[ch], csr.fanin_end[ch] - csr.fanin_start[ch]

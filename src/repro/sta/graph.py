@@ -18,15 +18,17 @@ The graph reads the netlist straight from the
 :class:`~repro.netlist.store.NetlistStore` columns: one walk per net
 (:meth:`_NetReader.walk`) yields the driver, each sink with its location,
 and the driver's load, and per-library-cell pin-index tables
-(:class:`_LibArcs`) place the cell arcs and register seeds.  Only terminals
-that become graph nodes are materialized as views; a node's id is
-``id(view)``.
+(:class:`_LibArcs`) place the cell arcs and register seeds.  A node's id
+is its store terminal id (``tid``: ``pin_slot << 1`` for a pin,
+``(port_id << 1) | 1`` for a port), so building and patching the graph
+make no views; :meth:`~repro.netlist.store.NetlistStore.terminal_name`
+names a node.
 
 The graph is *patchable*: :meth:`TimingGraph.apply_change` consumes a
 :class:`~repro.netlist.change.ChangeRecord` and patches only the arcs the
 edit changed — a rewired net that kept its driver keeps the arcs to the
 sinks that stayed, and a moved cell's sink pins have just their own arcs
-re-delayed — returning a :class:`GraphPatch` with the node ids whose
+re-delayed — returning a :class:`GraphPatch` with the terminal ids whose
 timing became stale and the exact arcs added and dropped.  Ownership
 indexes (`net name -> driver`, `cell name -> arcs/seed pins`) make each
 patch O(edited neighborhood), and node refcounts retire terminals exactly
@@ -38,6 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.library.cells import (
     ClockBufferCell,
     ClockGateCell,
@@ -48,7 +52,7 @@ from repro.library.cells import (
 )
 from repro.library.library import Technology
 from repro.netlist.change import ChangeRecord
-from repro.netlist.db import Cell, Pin, Port, Terminal
+from repro.netlist.db import Terminal
 from repro.netlist.design import Design
 from repro.netlist.store import NO_ID, NetlistStore
 
@@ -61,13 +65,14 @@ class TimingArc:
     """A directed delay edge of the timing graph.
 
     Arcs compare by identity: two arcs between the same pins are still two
-    arcs, and unlinking one never compares fields.  ``row`` is the arc's
-    row in the graph's :class:`~repro.sta.arraygraph.ArrayKernel` mirror
-    (-1 until a kernel compiles it).
+    arcs, and unlinking one never compares fields.  ``src``/``dst`` are
+    terminal ids; ``row`` is the arc's row in the graph's
+    :class:`~repro.sta.arraygraph.ArrayKernel` mirror (-1 until a kernel
+    compiles it).
     """
 
-    src: Terminal
-    dst: Terminal
+    src: int
+    dst: int
     delay: float
     row: int = -1
 
@@ -76,11 +81,13 @@ class TimingArc:
 class GraphPatch:
     """The fallout of one :meth:`TimingGraph.apply_change`.
 
-    ``dirty`` holds node ids whose arrival/required values may have changed
-    (new seeds, re-delayed or re-routed arcs); the timer re-propagates their
-    forward and backward cones.  ``removed`` holds node ids that left the
-    graph — the timer must purge their cached state, both for correctness
-    and because ``id()`` values can be recycled by later allocations.
+    ``dirty`` holds terminal ids whose arrival/required values may have
+    changed (new seeds, re-delayed or re-routed arcs); the timer
+    re-propagates their forward and backward cones.  ``removed`` holds
+    terminal ids that left the graph, and the timer purges their cached
+    state.  The store recycles a freed pin block for the next cell of the
+    same pin count, so a removed id may name a new node again by the end of
+    the same patch; its state is stale all the same.
 
     ``added`` (insertion-ordered keys) and ``dropped`` are the patch's net
     arc delta: arcs that exist now and did not before, and arcs that
@@ -172,7 +179,6 @@ class _NetReader:
         self.port_cap = store.port_cap.item
         self.port_net = store.port_net.item
         self.port_next = store.port_next.item
-        self.view = store.terminal_view
         self.loads: dict[int, float] = {}
 
     def is_data_net(self, nid: int) -> bool:
@@ -231,8 +237,43 @@ class _NetReader:
         return self.walk(nid).load if load is None else load
 
 
+
+def _levelize(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """Longest-path level per terminal id, by frontier Kahn over arc arrays.
+
+    Frontier ``k`` holds the nodes whose last predecessor left frontier
+    ``k - 1``, so a node's frontier index is its longest-path level.
+    Nodes still holding in-arcs when the frontier empties sit on, or
+    behind, a combinational loop.
+    """
+    order = np.argsort(src, kind="stable")
+    out_dst = dst[order]
+    count = np.bincount(src, minlength=n)
+    start = np.cumsum(count) - count
+    indeg = np.bincount(dst, minlength=n)
+    level = np.zeros(n, dtype=np.int64)
+    frontier = np.nonzero((indeg == 0) & (count > 0))[0]
+    k = 0
+    while len(frontier):
+        level[frontier] = k
+        c = count[frontier]
+        offsets = np.repeat(start[frontier] - (np.cumsum(c) - c), c)
+        arcs = np.arange(len(offsets)) + offsets
+        nxt, hits = np.unique(out_dst[arcs], return_counts=True)
+        indeg[nxt] -= hits
+        frontier = nxt[indeg[nxt] == 0]
+        k += 1
+    stuck = int(np.count_nonzero(indeg))
+    if stuck:
+        raise ValueError(
+            "combinational loop detected: "
+            f"{stuck} nodes unreachable in topological sort"
+        )
+    return level
+
+
 class TimingGraph:
-    """The levelized timing graph of a design.
+    """The levelized timing graph of a design, keyed by terminal id.
 
     Build is O(pins + nets).  After netlist edits the graph is either
     rebuilt from scratch (:class:`repro.sta.timer.Timer.dirty`) or patched
@@ -244,60 +285,42 @@ class TimingGraph:
         self.tech = technology or design.library.technology
         self.fanout: dict[int, list[TimingArc]] = {}
         self.fanin: dict[int, list[TimingArc]] = {}
-        self._nodes: dict[int, Terminal] = {}
-        self._refs: dict[int, int] = {}
-        self.launch_by_id: dict[int, tuple[Cell, Pin]] = {}
-        self.capture_by_id: dict[int, tuple[Cell, Pin]] = {}
-        self.launch_delay: dict[int, float] = {}  # id(Q pin) -> ck->q delay
-        self.input_ports_by_id: dict[int, Port] = {}
-        self.output_ports_by_id: dict[int, Port] = {}
+        self._refs: dict[int, int] = {}  # node -> its arc ends + seed roles
+        self.launch_by_id: dict[int, int] = {}  # Q pin -> register cell id
+        self.capture_by_id: dict[int, int] = {}  # D pin -> register cell id
+        self.launch_delay: dict[int, float] = {}  # Q pin -> ck->q delay
+        self.input_ports: set[int] = set()
+        self.output_ports: set[int] = set()
         # A net's arcs are exactly its driver's fanout: a driver (output pin
         # or input port) sits on one net and sources no cell arc.
-        self._net_driver: dict[str, Terminal] = {}
+        self._net_driver: dict[str, int] = {}
         self._cell_arcs: dict[str, list[TimingArc]] = {}
-        self._cell_seeds: dict[str, list[Pin]] = {}
+        self._cell_seeds: dict[str, list[int]] = {}
         self._lib_arcs: dict[int, _LibArcs] = {}
-        self._topo: list[Terminal] | None = None
-        self._levels: dict[int, int] | None = None
+        self._topo: list[int] | None = None
+        self._levels: np.ndarray | None = None
         self._build()
-
-    # -- compatibility views ------------------------------------------------
-
-    @property
-    def nodes(self) -> list[Terminal]:
-        return list(self._nodes.values())
 
     @property
     def node_count(self) -> int:
-        return len(self._nodes)
+        return len(self._refs)
 
-    @property
-    def launch_q(self) -> list[tuple[Cell, Pin]]:
-        return list(self.launch_by_id.values())
-
-    @property
-    def capture_d(self) -> list[tuple[Cell, Pin]]:
-        return list(self.capture_by_id.values())
-
-    @property
-    def input_ports(self) -> list[Port]:
-        return list(self.input_ports_by_id.values())
-
-    @property
-    def output_ports(self) -> list[Port]:
-        return list(self.output_ports_by_id.values())
-
-    def contains(self, node_id: int) -> bool:
+    def contains(self, tid: int) -> bool:
         """True while the id names a live node or seeded terminal."""
-        return (
-            node_id in self._nodes
-            or node_id in self.input_ports_by_id
-            or node_id in self.output_ports_by_id
-        )
+        return tid in self._refs or tid in self.input_ports or tid in self.output_ports
 
-    def seed_pins(self, cell_name: str) -> list[Pin]:
+    def seed_pins(self, cell_name: str) -> list[int]:
         """The registered D/Q pins of a cell (empty if none connected)."""
         return list(self._cell_seeds.get(cell_name, ()))
+
+    def arc_multiset(self) -> dict[tuple[int, int, float], int]:
+        """``(src, dst, delay) -> count`` over every arc."""
+        counts: dict[tuple[int, int, float], int] = {}
+        for arcs in self.fanout.values():
+            for arc in arcs:
+                key = (arc.src, arc.dst, arc.delay)
+                counts[key] = counts.get(key, 0) + 1
+        return counts
 
     # -- delay model --------------------------------------------------------
 
@@ -325,47 +348,41 @@ class TimingGraph:
 
     # -- node/arc bookkeeping ----------------------------------------------
 
-    def _ensure(self, t: Terminal) -> None:
-        nid = id(t)
-        refs = self._refs.get(nid)
+    def _ensure(self, t: int) -> None:
+        refs = self._refs.get(t)
         if refs is None:
-            self._refs[nid] = 1
-            self._nodes[nid] = t
+            self._refs[t] = 1
             self._topo = None
             if self._levels is not None:
-                self._levels.setdefault(nid, 0)
+                self._levels[t] = 0  # a new node has no arcs yet
         else:
-            self._refs[nid] = refs + 1
+            self._refs[t] = refs + 1
 
-    def _release(self, t: Terminal, patch: GraphPatch) -> None:
-        nid = id(t)
-        refs = self._refs.get(nid, 0)
+    def _release(self, t: int, patch: GraphPatch) -> None:
+        refs = self._refs.get(t, 0)
         if refs <= 1:
-            self._refs.pop(nid, None)
-            self._nodes.pop(nid, None)
-            patch.removed.add(nid)
+            self._refs.pop(t, None)
+            patch.removed.add(t)
             self._topo = None
-            if self._levels is not None:
-                self._levels.pop(nid, None)
         else:
-            self._refs[nid] = refs - 1
+            self._refs[t] = refs - 1
 
     def _add_arc(
-        self, src: Terminal, dst: Terminal, delay: float, patch: GraphPatch
+        self, src: int, dst: int, delay: float, patch: GraphPatch
     ) -> TimingArc:
         arc = TimingArc(src, dst, delay)
         self._ensure(src)
         self._ensure(dst)
-        self.fanout.setdefault(id(src), []).append(arc)
-        self.fanin.setdefault(id(dst), []).append(arc)
-        patch.dirty.add(id(src))
-        patch.dirty.add(id(dst))
+        self.fanout.setdefault(src, []).append(arc)
+        self.fanin.setdefault(dst, []).append(arc)
+        patch.dirty.add(src)
+        patch.dirty.add(dst)
         patch.added[arc] = True
         self._topo = None
         self._bump_level(src, dst)
         return arc
 
-    def _bump_level(self, src: Terminal, dst: Terminal) -> None:
+    def _bump_level(self, src: int, dst: int) -> None:
         """Restore the level invariant after inserting arc src -> dst.
 
         :meth:`levels` only needs a valid topological numbering (every arc
@@ -376,57 +393,54 @@ class TimingGraph:
         cascade is bounded; a runaway (a cycle just formed, or levels
         crept loose across many patches) drops the cache so the next
         :meth:`levels` rebuilds tight values from scratch — and the full
-        topological sort is where real loops get diagnosed.
+        levelization is where real loops get diagnosed.
         """
         lv = self._levels
         if lv is None:
             return
-        ls = lv.setdefault(id(src), 0)
-        if lv.setdefault(id(dst), 0) > ls:
+        ls = lv[src]
+        if lv[dst] > ls:
             return
-        lv[id(dst)] = ls + 1
+        lv[dst] = ls + 1
         stack = [dst]
-        budget = 4 * len(self._nodes) + 64
+        budget = 4 * len(self._refs) + 64
         while stack:
             budget -= 1
             if budget < 0:
                 self._levels = None
                 return
             n = stack.pop()
-            base = lv[id(n)] + 1
-            for arc in self.fanout.get(id(n), ()):
-                if lv.setdefault(id(arc.dst), 0) < base:
-                    lv[id(arc.dst)] = base
+            base = lv[n] + 1
+            for arc in self.fanout.get(n, ()):
+                if lv[arc.dst] < base:
+                    lv[arc.dst] = base
                     stack.append(arc.dst)
 
-    def _unlink_from(
-        self, src: Terminal, arcs: list[TimingArc], patch: GraphPatch
-    ) -> None:
+    def _unlink_from(self, src: int, arcs: list[TimingArc], patch: GraphPatch) -> None:
         """Unlink arcs that all leave ``src``, in one pass over its fanout."""
         if not arcs:
             return
-        sid = id(src)
-        fo = self.fanout[sid]
+        fo = self.fanout[src]
         if len(arcs) == 1:
             fo.remove(arcs[0])
         else:
             gone = set(arcs)
             fo[:] = [a for a in fo if a not in gone]
         if not fo:
-            del self.fanout[sid]
-        patch.dirty.add(sid)
+            del self.fanout[src]
+        patch.dirty.add(src)
         for arc in arcs:
-            did = id(arc.dst)
-            fi = self.fanin[did]
+            dst = arc.dst
+            fi = self.fanin[dst]
             fi.remove(arc)
             if not fi:
-                del self.fanin[did]
-            patch.dirty.add(did)
+                del self.fanin[dst]
+            patch.dirty.add(dst)
             # An arc added earlier in this same patch nets out of the delta.
             if not patch.added.pop(arc, False):
                 patch.dropped.append(arc)
             self._release(src, patch)
-            self._release(arc.dst, patch)
+            self._release(dst, patch)
         self._topo = None
 
     # -- construction -------------------------------------------------------
@@ -439,7 +453,7 @@ class TimingGraph:
         # Net arcs (data nets only — the clock network is ideal here).
         for name, nid in store.net_ids.items():
             if not reader.net_clock(nid):
-                self._add_net(name, reader.walk(nid), reader, patch)
+                self._add_net(name, reader.walk(nid), patch)
 
         # Cell arcs and register launch/capture seeds.
         for name, cid in store.cell_ids.items():
@@ -448,71 +462,65 @@ class TimingGraph:
         for pid in store.port_ids.values():
             self._register_port(pid, reader)
 
-    def _add_net(
-        self, name: str, walk: _NetWalk, reader: _NetReader, patch: GraphPatch
-    ) -> None:
-        if walk.driver == NO_ID:
+    def _add_net(self, name: str, walk: _NetWalk, patch: GraphPatch) -> None:
+        driver = walk.driver
+        if driver == NO_ID:
             return
-        driver = reader.view(walk.driver)
         self._ensure(driver)
-        patch.dirty.add(id(driver))
+        patch.dirty.add(driver)
         x, y = walk.x, walk.y
         for tid, sx, sy in walk.sinks:
-            self._add_arc(
-                driver, reader.view(tid), self._wire_delay(x, y, sx, sy), patch
-            )
+            self._add_arc(driver, tid, self._wire_delay(x, y, sx, sy), patch)
         self._net_driver[name] = driver
 
     def _drop_net(self, name: str, patch: GraphPatch) -> None:
         driver = self._net_driver.pop(name, None)
         if driver is None:
             return
-        self._unlink_from(driver, list(self.fanout.get(id(driver), ())), patch)
-        patch.dirty.add(id(driver))
+        self._unlink_from(driver, list(self.fanout.get(driver, ())), patch)
+        patch.dirty.add(driver)
         self._release(driver, patch)
 
-    def _patch_sinks(
-        self, driver: Terminal, walk: _NetWalk, reader: _NetReader, patch: GraphPatch
-    ) -> None:
+    def _patch_sinks(self, walk: _NetWalk, patch: GraphPatch) -> None:
         """Bring a rewired net whose driver stayed up to date, sink by sink.
 
         An arc to a sink that stayed, with a bit-equal delay, is kept; an
         arc to a sink that left is dropped, and a sink that arrived (or
         whose delay changed) gets a new arc.  New arcs are linked before
         stale ones are unlinked, so a re-delayed sink never leaves the
-        graph and keeps its node id and cached timing.
+        graph and keeps its cached timing.
         """
-        old = list(self.fanout.get(id(driver), ()))
+        driver = walk.driver
+        old = list(self.fanout.get(driver, ()))
         kept: set[TimingArc] = set()
         fanin = self.fanin
         x, y = walk.x, walk.y
         for tid, sx, sy in walk.sinks:
-            sink = reader.view(tid)
             delay = self._wire_delay(x, y, sx, sy)
-            for arc in fanin.get(id(sink), ()):
-                if arc.src is driver and arc.delay == delay:
+            for arc in fanin.get(tid, ()):
+                if arc.src == driver and arc.delay == delay:
                     kept.add(arc)
                     break
             else:
-                self._add_arc(driver, sink, delay, patch)
+                self._add_arc(driver, tid, delay, patch)
         self._unlink_from(driver, [a for a in old if a not in kept], patch)
 
     def _redelay_sink(
-        self, driver: Terminal, pin: Pin, reader: _NetReader, patch: GraphPatch
+        self, driver: int, pin: int, reader: _NetReader, patch: GraphPatch
     ) -> None:
         """Re-derive the wire delay of the one arc into a moved sink pin.
 
         The arc is found through the pin's fanin, and kept when its delay
         is bit-equal.  Otherwise the new arc is linked before the old one
         is unlinked, so the sink never drops to zero references: it stays
-        in the graph, keeps its node id and its cached timing, and only the
-        arc's two endpoints are dirtied.  A moved pin that is no sink of
-        the net (a second output pin on it) has no arc to re-delay.
+        in the graph, keeps its cached timing, and only the arc's two
+        endpoints are dirtied.  A moved pin that is no sink of the net (a
+        second output pin on it) has no arc to re-delay.
         """
-        for old in self.fanin.get(id(pin), ()):
-            if old.src is driver:
+        for old in self.fanin.get(pin, ()):
+            if old.src == driver:
                 xy = reader.store.terminal_xy
-                delay = self._wire_delay(*xy(driver._tid), *xy(pin._tid))
+                delay = self._wire_delay(*xy(driver), *xy(pin))
                 if delay != old.delay:
                     self._add_arc(driver, pin, delay, patch)
                     self._unlink_from(driver, [old], patch)
@@ -536,12 +544,12 @@ class TimingGraph:
             onet = reader.pin_net(pin0 + o)
             if not reader.is_data_net(onet):
                 continue
-            out = reader.view((pin0 + o) << 1)
             delay = lib.libcell.delay(reader.load(onet))
             for i in lib.inputs:
                 if reader.is_data_net(reader.pin_net(pin0 + i)):
-                    inp = reader.view((pin0 + i) << 1)
-                    arcs.append(self._add_arc(inp, out, delay, patch))
+                    arcs.append(
+                        self._add_arc((pin0 + i) << 1, (pin0 + o) << 1, delay, patch)
+                    )
         if arcs:
             self._cell_arcs[name] = arcs
 
@@ -550,57 +558,52 @@ class TimingGraph:
     ) -> None:
         lc = lib.libcell
         pin0 = reader.cell_pin0(cid)
-        seeds: list[Pin] = []
+        seeds: list[int] = []
         for d_idx, q_idx in lib.bits:
             if reader.pin_net(pin0 + d_idx) != NO_ID:
-                d = reader.view((pin0 + d_idx) << 1)
+                d = (pin0 + d_idx) << 1
                 self._ensure(d)
                 seeds.append(d)
-                self.capture_by_id[id(d)] = (d.cell, d)
-                patch.dirty.add(id(d))
+                self.capture_by_id[d] = cid
+                patch.dirty.add(d)
             qnet = reader.pin_net(pin0 + q_idx)
             if qnet != NO_ID:
-                q = reader.view((pin0 + q_idx) << 1)
+                q = (pin0 + q_idx) << 1
                 self._ensure(q)
                 seeds.append(q)
-                self.launch_by_id[id(q)] = (q.cell, q)
+                self.launch_by_id[q] = cid
                 # The Timer seeds arrival(Q) = clk_arrival + this delay.
-                self.launch_delay[id(q)] = (
+                self.launch_delay[q] = (
                     lc.clk_to_q + lc.drive_resistance * reader.load(qnet)
                 )
-                patch.dirty.add(id(q))
+                patch.dirty.add(q)
         if seeds:
             self._cell_seeds[name] = seeds
 
     def _drop_cell_entries(self, name: str, patch: GraphPatch) -> None:
         for arc in self._cell_arcs.pop(name, ()):
             self._unlink_from(arc.src, [arc], patch)
-        for pin in self._cell_seeds.pop(name, ()):
-            nid = id(pin)
-            patch.dirty.add(nid)
-            self.capture_by_id.pop(nid, None)
-            if self.launch_by_id.pop(nid, None) is not None:
-                self.launch_delay.pop(nid, None)
-            self._release(pin, patch)
+        for t in self._cell_seeds.pop(name, ()):
+            patch.dirty.add(t)
+            self.capture_by_id.pop(t, None)
+            if self.launch_by_id.pop(t, None) is not None:
+                self.launch_delay.pop(t, None)
+            self._release(t, patch)
 
     def _register_port(self, pid: int, reader: _NetReader) -> None:
-        if not reader.is_data_net(reader.port_net(pid)):
-            return
-        port = reader.store.port_view(pid)
-        if reader.port_out(pid):
-            self.output_ports_by_id[id(port)] = port
-        else:
-            self.input_ports_by_id[id(port)] = port
+        if reader.is_data_net(reader.port_net(pid)):
+            ports = self.output_ports if reader.port_out(pid) else self.input_ports
+            ports.add((pid << 1) | 1)
 
     def _refresh_port(self, name: str, reader: _NetReader, patch: GraphPatch) -> None:
         pid = reader.store.port_ids.get(name)
         if pid is None:
             return
-        port = reader.store.port_view(pid)
-        self.input_ports_by_id.pop(id(port), None)
-        self.output_ports_by_id.pop(id(port), None)
+        tid = (pid << 1) | 1
+        self.input_ports.discard(tid)
+        self.output_ports.discard(tid)
         self._register_port(pid, reader)
-        patch.dirty.add(id(port))
+        patch.dirty.add(tid)
 
     # -- incremental patching ----------------------------------------------
 
@@ -620,9 +623,12 @@ class TimingGraph:
         carrying the exact arc delta.
         """
         patch = GraphPatch()
-        design = self.design
-        store = design.store
+        store = self.design.store
         reader = self._reader()
+        lv = self._levels
+        if lv is not None and len(lv) < store.tid_space:
+            self._levels = np.zeros(max(store.tid_space, 2 * len(lv)), dtype=np.int64)
+            self._levels[: len(lv)] = lv
 
         # Nets to re-walk: explicitly rewired ones, plus every net a moved
         # cell drives (all its wire delays start at the moved driver pin).
@@ -636,7 +642,7 @@ class TimingGraph:
             nid = store.net_ids.get(name)
             if nid is not None and not reader.net_clock(nid):
                 walk_nets[name] = nid
-        moved_sinks: list[tuple[str, Terminal, Pin]] = []
+        moved_sinks: list[tuple[str, int, int]] = []
         for cname in record.moved:
             cid = store.cell_ids.get(cname)
             if cid is None:
@@ -648,37 +654,33 @@ class TimingGraph:
                     continue
                 name = store.net_name[nid]
                 driver = self._net_driver.get(name)
-                pin = reader.view(slot << 1)
-                if driver is None or driver is pin:
+                if driver is None or driver == slot << 1:
                     walk_nets.setdefault(name, nid)
                 else:
-                    moved_sinks.append((name, driver, pin))
+                    moved_sinks.append((name, driver, slot << 1))
 
-        # Cells whose arcs/seeds must be rebuilt.  Resized cells replaced
-        # every pin object; touched cells changed pin connectivity; moved
+        # Cells whose arcs/seeds must be rebuilt.  Resized cells moved to a
+        # new pin block; touched cells changed pin connectivity; moved
         # cells changed their output loads; added cells are new.
-        rebuild_cells: dict[str, Cell] = {}
-        for cname in (*record.touched, *record.resized, *record.moved):
-            cell = design.cells.get(cname)
-            if cell is not None:
-                rebuild_cells[cname] = cell
-        for cell in record.added:
-            if design.cells.get(cell.name) is cell:
-                rebuild_cells[cell.name] = cell
+        rebuild_cells: dict[str, int] = {}
+        for cname in (
+            *record.touched, *record.resized, *record.moved, *record.cells_added
+        ):
+            cid = store.cell_ids.get(cname)
+            if cid is not None:
+                rebuild_cells[cname] = cid
 
         # 1. Drop arcs of dead nets and of re-walked nets that changed
         #    driver; a net that kept its driver is patched sink by sink.
         for name in record.removed_nets:
             self._drop_net(name, patch)
-        walks: dict[str, tuple[_NetWalk, Terminal | None]] = {}
+        walks: dict[str, tuple[_NetWalk, bool]] = {}
         for name, nid in walk_nets.items():
             walk = reader.walk(nid)
-            driver = reader.view(walk.driver) if walk.driver != NO_ID else None
-            if driver is None or self._net_driver.get(name) is not driver:
+            kept = walk.driver != NO_ID and self._net_driver.get(name) == walk.driver
+            if not kept:
                 self._drop_net(name, patch)
-                walks[name] = (walk, None)
-            else:
-                walks[name] = (walk, driver)
+            walks[name] = (walk, kept)
 
         # 2. Drop entries of dead and rebuilt cells (retires stale pins).
         for cname in record.removed:
@@ -687,29 +689,29 @@ class TimingGraph:
             self._drop_cell_entries(cname, patch)
 
         # 3. Rebuild cell entries against the current netlist.
-        for cname, cell in rebuild_cells.items():
-            self._add_cell_entries(cname, cell._cid, reader, patch)
+        for cname, cid in rebuild_cells.items():
+            self._add_cell_entries(cname, cid, reader, patch)
 
         # 4. Patch kept-driver nets sink by sink; rebuild the others.
-        for name, (walk, kept_driver) in walks.items():
-            if kept_driver is not None:
-                self._patch_sinks(kept_driver, walk, reader, patch)
+        for name, (walk, kept) in walks.items():
+            if kept:
+                self._patch_sinks(walk, patch)
             else:
-                self._add_net(name, walk, reader, patch)
+                self._add_net(name, walk, patch)
 
         # 4b. Re-delay the arcs into moved sink pins of the other nets.
-        refresh: dict[int, Terminal] = {}
+        refresh: dict[int, None] = {}
         for name in walks:
             driver = self._net_driver.get(name)
             if driver is not None:
-                refresh[id(driver)] = driver
+                refresh[driver] = None
         for name, driver, pin in moved_sinks:
             if name not in walks:
                 self._redelay_sink(driver, pin, reader, patch)
-                refresh[id(driver)] = driver
+                refresh[driver] = None
 
         # 5. Refresh drivers whose load changed without their own rebuild.
-        for driver in refresh.values():
+        for driver in refresh:
             self._refresh_driver(driver, rebuild_cells, reader, patch)
 
         # 6. Re-register edited ports.
@@ -720,8 +722,8 @@ class TimingGraph:
 
     def _refresh_driver(
         self,
-        driver: Terminal,
-        rebuilt: dict[str, Cell],
+        driver: int,
+        rebuilt: dict[str, int],
         reader: _NetReader,
         patch: GraphPatch,
     ) -> None:
@@ -731,66 +733,66 @@ class TimingGraph:
         (sink caps + HPWL), which feeds the comb delay or the register
         clk->q launch delay.
         """
-        cell = getattr(driver, "cell", None)
-        if cell is None or cell.name in rebuilt:
-            return  # a port, or already rebuilt with fresh loads
-        lib = self._lib(reader, cell._cid)
+        if driver & 1:
+            return  # a port
+        cid = reader.pin_cell(driver >> 1)
+        name = reader.store.cell_name[cid]
+        if name in rebuilt:
+            return  # already rebuilt with fresh loads
+        lib = self._lib(reader, cid)
         if lib.bits:
-            nid = id(driver)
-            if nid in self.launch_delay:
+            if driver in self.launch_delay:
                 lc = lib.libcell
-                load = reader.load(reader.pin_net(driver._slot))
+                load = reader.load(reader.pin_net(driver >> 1))
                 delay = lc.clk_to_q + lc.drive_resistance * load
-                if delay != self.launch_delay[nid]:
-                    self.launch_delay[nid] = delay
-                    patch.dirty.add(nid)
+                if delay != self.launch_delay[driver]:
+                    self.launch_delay[driver] = delay
+                    patch.dirty.add(driver)
         elif lib.outputs:
-            self._drop_cell_entries(cell.name, patch)
-            self._add_cell_entries(cell.name, cell._cid, reader, patch)
-            rebuilt[cell.name] = cell
+            self._drop_cell_entries(name, patch)
+            self._add_cell_entries(name, cid, reader, patch)
+            rebuilt[name] = cid
 
     # -- topology --------------------------------------------------------------
 
-    def topological_order(self) -> list[Terminal]:
-        """Kahn topological order over all graph nodes (cached)."""
+    def topological_order(self) -> list[int]:
+        """Kahn topological order over all graph nodes (cached): the
+        reference sweeps' order."""
         if self._topo is not None:
             return self._topo
-        nodes = list(self._nodes.values())
-        indeg: dict[int, int] = {nid: 0 for nid in self._nodes}
+        indeg = dict.fromkeys(self._refs, 0)
         for arcs in self.fanout.values():
             for arc in arcs:
-                indeg[id(arc.dst)] = indeg.get(id(arc.dst), 0) + 1
-        ready = [n for n in nodes if indeg[id(n)] == 0]
-        order: list[Terminal] = []
+                indeg[arc.dst] += 1
+        ready = [t for t, d in indeg.items() if d == 0]
+        order: list[int] = []
         while ready:
-            n = ready.pop()
-            order.append(n)
-            for arc in self.fanout.get(id(n), ()):
-                indeg[id(arc.dst)] -= 1
-                if indeg[id(arc.dst)] == 0:
+            t = ready.pop()
+            order.append(t)
+            for arc in self.fanout.get(t, ()):
+                indeg[arc.dst] -= 1
+                if indeg[arc.dst] == 0:
                     ready.append(arc.dst)
-        if len(order) != len(nodes):
+        if len(order) != len(indeg):
             raise ValueError(
                 "combinational loop detected: "
-                f"{len(nodes) - len(order)} nodes unreachable in topological sort"
+                f"{len(indeg) - len(order)} nodes unreachable in topological sort"
             )
         self._topo = order
         return order
 
-    def levels(self) -> dict[int, int]:
-        """Longest-path level per node id (sources at 0, cached).
+    def levels(self) -> np.ndarray:
+        """Level per terminal id (sources at 0, cached), a numpy array.
 
         Levels order the dirty-cone worklists: every arc goes from a lower
         to a strictly higher level, so draining a min-heap of levels visits
-        each dirty node after all of its dirty predecessors.
+        each dirty node after all of its dirty predecessors.  Computed
+        tight (longest path) by :func:`_levelize`, then kept valid across
+        patches by :meth:`_bump_level`.
         """
         if self._levels is None:
-            order = self.topological_order()
-            levels = {id(n): 0 for n in order}
-            for n in order:
-                base = levels[id(n)] + 1
-                for arc in self.fanout.get(id(n), ()):
-                    if levels[id(arc.dst)] < base:
-                        levels[id(arc.dst)] = base
-            self._levels = levels
+            arcs = [a for fo in self.fanout.values() for a in fo]
+            src = np.fromiter((a.src for a in arcs), np.int64, len(arcs))
+            dst = np.fromiter((a.dst for a in arcs), np.int64, len(arcs))
+            self._levels = _levelize(src, dst, self.design.store.tid_space)
         return self._levels

@@ -196,7 +196,7 @@ def nldm_arrivals(
 ) -> dict[int, tuple[float, float]]:
     """Slew-propagating arrival analysis over the timer's timing graph.
 
-    Returns ``id(terminal) -> (arrival, slew)``.  Cell arcs use synthesized
+    Returns ``terminal id -> (arrival, slew)``.  Cell arcs use synthesized
     NLDM tables (cached per library cell); wire arcs keep the graph's
     Manhattan delay and degrade slew by ``wire_slew_per_um`` per micron.
     Worst-case (max) semantics on both arrival and slew, as a setup-mode
@@ -210,6 +210,8 @@ def nldm_arrivals(
     (property-tested).
     """
     graph: TimingGraph = timer.graph
+    store = design.store
+    reader = graph._reader()
     tables: dict[str, TimingTables] = {}
 
     def tables_for(cell: LibCell) -> TimingTables:
@@ -219,32 +221,43 @@ def nldm_arrivals(
             tables[cell.name] = cached
         return cached
 
+    def load(tid: int) -> float:
+        return reader.load(store.terminal_net(tid))
+
+    def libcell(cid: int) -> LibCell:
+        return store.libs[store.cell_lib[cid]].libcell
+
+    def cell_arc_owner(arc) -> int:
+        """The cell of an input -> output cell arc, ``-1`` for a net arc."""
+        if (arc.src | arc.dst) & 1:
+            return -1
+        cid = int(store.pin_cell[arc.src >> 1])
+        return cid if cid == store.pin_cell[arc.dst >> 1] else -1
+
     state: dict[int, tuple[float, float]] = {}
-    for reg_cell, q in graph.launch_q:
-        lc = reg_cell.register_cell
-        load = graph.output_load(q)
-        t = tables_for(lc)
-        arrival = timer.skew.get(reg_cell.name, 0.0) + t.delay.lookup(input_slew, load)
-        state[id(q)] = (arrival, t.out_slew.lookup(input_slew, load))
+    for q, cid in graph.launch_by_id.items():
+        ld = load(q)
+        t = tables_for(libcell(cid))
+        skew = timer.skew.get(store.cell_name[cid], 0.0)
+        arrival = skew + t.delay.lookup(input_slew, ld)
+        state[q] = (arrival, t.out_slew.lookup(input_slew, ld))
     for port in graph.input_ports:
-        state[id(port)] = (timer.input_delay, input_slew)
+        state[port] = (timer.input_delay, input_slew)
 
     if not batched:
         for node in graph.topological_order():
-            here = state.get(id(node))
+            here = state.get(node)
             if here is None:
                 continue
             arrival, slew = here
-            for arc in graph.fanout.get(id(node), ()):
-                src_cell = getattr(arc.src, "cell", None)
-                dst_cell = getattr(arc.dst, "cell", None)
-                if src_cell is not None and dst_cell is src_cell:
+            for arc in graph.fanout.get(node, ()):
+                cid = cell_arc_owner(arc)
+                if cid != -1:
                     # Cell arc (input pin -> output pin of the same cell).
-                    lc = src_cell.libcell
-                    load = graph.output_load(arc.dst)
-                    t = tables_for(lc)
-                    new_arrival = arrival + t.delay.lookup(slew, load)
-                    new_slew = t.out_slew.lookup(slew, load)
+                    ld = load(arc.dst)
+                    t = tables_for(libcell(cid))
+                    new_arrival = arrival + t.delay.lookup(slew, ld)
+                    new_slew = t.out_slew.lookup(slew, ld)
                 else:
                     # Net arc: the graph's wire delay, plus slew degradation.
                     distance = (
@@ -254,29 +267,28 @@ def nldm_arrivals(
                     )
                     new_arrival = arrival + arc.delay
                     new_slew = slew + wire_slew_per_um * distance
-                _update(state, id(arc.dst), new_arrival, new_slew)
+                _update(state, arc.dst, new_arrival, new_slew)
         return state
 
     levels = graph.levels()
-    order = sorted(graph.topological_order(), key=lambda n: levels[id(n)])
-    for _level, group in groupby(order, key=lambda n: levels[id(n)]):
+    order = sorted(graph.topological_order(), key=lambda n: levels[n])
+    for _level, group in groupby(order, key=lambda n: levels[n]):
         # Arcs within one level never feed each other (levels strictly
         # ascend along arcs), so the whole level batches safely.
-        cell_arcs: dict[str, list[tuple[object, float, float, float]]] = {}
+        cell_arcs: dict[str, list[tuple[int, float, float, float]]] = {}
         libcells: dict[str, LibCell] = {}
         for node in group:
-            here = state.get(id(node))
+            here = state.get(node)
             if here is None:
                 continue
             arrival, slew = here
-            for arc in graph.fanout.get(id(node), ()):
-                src_cell = getattr(arc.src, "cell", None)
-                dst_cell = getattr(arc.dst, "cell", None)
-                if src_cell is not None and dst_cell is src_cell:
-                    lc = src_cell.libcell
+            for arc in graph.fanout.get(node, ()):
+                cid = cell_arc_owner(arc)
+                if cid != -1:
+                    lc = libcell(cid)
                     libcells[lc.name] = lc
                     cell_arcs.setdefault(lc.name, []).append(
-                        (arc.dst, arrival, slew, graph.output_load(arc.dst))
+                        (arc.dst, arrival, slew, load(arc.dst))
                     )
                 else:
                     distance = (
@@ -286,7 +298,7 @@ def nldm_arrivals(
                     )
                     _update(
                         state,
-                        id(arc.dst),
+                        arc.dst,
                         arrival + arc.delay,
                         slew + wire_slew_per_um * distance,
                     )
@@ -297,5 +309,5 @@ def nldm_arrivals(
             delays = t.delay.lookup_batch(in_slews, loads)
             out_slews = t.out_slew.lookup_batch(in_slews, loads)
             for (dst, arrival, _slew, _load), d, s in zip(rows, delays, out_slews):
-                _update(state, id(dst), arrival + float(d), float(s))
+                _update(state, dst, arrival + float(d), float(s))
     return state

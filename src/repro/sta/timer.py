@@ -13,6 +13,11 @@ shadow-checks that equivalence after every patch by rebuilding the graph
 from scratch and re-propagating it with the plain-Python reference sweeps
 (:meth:`Timer._full_state`, :meth:`Timer._min_arrivals`).
 :meth:`Timer.dirty` remains the blanket full-rebuild fallback.
+
+State is keyed by store terminal id, like the graph: queries take a
+terminal and read its ``_tid``, and endpoint names and register cells come
+from the store.  A pin of a removed or re-bound cell reads as absent,
+since its slot may belong to another pin by now.
 """
 
 from __future__ import annotations
@@ -24,8 +29,9 @@ from repro import obs
 from repro.library.cells import RegisterCell
 from repro.library.library import Technology
 from repro.netlist.change import ChangeRecord
-from repro.netlist.db import Cell, Terminal
+from repro.netlist.db import Cell, Terminal, _DetachedPin
 from repro.netlist.design import Design
+from repro.netlist.store import NO_ID
 from repro.sta.arraygraph import ArrayKernel
 from repro.sta.graph import TimingGraph
 
@@ -41,6 +47,11 @@ def _audit_env_enabled() -> bool:
 
 class TimingAuditError(AssertionError):
     """Incremental timing diverged from a from-scratch recompute."""
+
+
+def _node(terminal: Terminal) -> int:
+    """A terminal's node id; ``NO_ID`` for a detached pin."""
+    return NO_ID if isinstance(terminal, _DetachedPin) else terminal._tid
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,11 +238,11 @@ class Timer:
         if self._state is None:
             return  # graph is current again; state recomputes fully on query
         st = self._state
-        for nid in patch.removed:
-            st.arrival.pop(nid, None)
-            st.required.pop(nid, None)
+        for tid in patch.removed:
+            st.arrival.pop(tid, None)
+            st.required.pop(tid, None)
             if st.arrival_min is not None:
-                st.arrival_min.pop(nid, None)
+                st.arrival_min.pop(tid, None)
         self._dirty_fwd |= patch.dirty
         self._dirty_bwd |= patch.dirty
 
@@ -261,18 +272,17 @@ class Timer:
             # Not in the graph: either the register has no connected bits
             # (skew is then timing-neutral) or the graph is out of sync —
             # fall back to a full recompute unless provably neutral.
-            cell = self.design.cells.get(cell_name)
-            if cell is not None and cell.is_register:
+            cid = self.design.store.cell_ids.get(cell_name)
+            if cid is not None and self.design.store.cell_is_register(cid):
                 self._state = None
                 self._dirty_fwd.clear()
                 self._dirty_bwd.clear()
             return
-        for pin in pins:
-            nid = id(pin)
-            if nid in g.launch_by_id:
-                self._dirty_fwd.add(nid)  # arrival seed at Q shifted
-            if nid in g.capture_by_id:
-                self._dirty_bwd.add(nid)  # required seed at D shifted
+        for tid in pins:
+            if tid in g.launch_by_id:
+                self._dirty_fwd.add(tid)  # arrival seed at Q shifted
+            if tid in g.capture_by_id:
+                self._dirty_bwd.add(tid)  # required seed at D shifted
         self._audit_pending = True
 
     @property
@@ -286,26 +296,35 @@ class Timer:
             self._kernel = ArrayKernel(g)
         return self._kernel
 
-    def _clock_arrival(self, cell: Cell) -> float:
-        return self.skew.get(cell.name, 0.0)
+    def _clock_arrival(self, cid: int) -> float:
+        return self.skew.get(self.design.store.cell_name[cid], 0.0)
+
+    def _register_cell(self, cid: int) -> RegisterCell:
+        store = self.design.store
+        return store.libs[store.cell_lib[cid]].libcell
 
     # -- propagation ----------------------------------------------------------
 
-    def _arrival_seed(self, g: TimingGraph, nid: int) -> float | None:
-        entry = g.launch_by_id.get(nid)
-        if entry is not None:
-            return self._clock_arrival(entry[0]) + g.launch_delay[nid]
-        if nid in g.input_ports_by_id:
+    def _launch(self, g: TimingGraph, tid: int, cid: int) -> float:
+        return self._clock_arrival(cid) + g.launch_delay[tid]
+
+    def _capture(self, cid: int) -> float:
+        setup = self._register_cell(cid).setup
+        return self.clock_period + self._clock_arrival(cid) - setup
+
+    def _arrival_seed(self, g: TimingGraph, tid: int) -> float | None:
+        cid = g.launch_by_id.get(tid)
+        if cid is not None:
+            return self._launch(g, tid, cid)
+        if tid in g.input_ports:
             return self.input_delay
         return None
 
-    def _required_seed(self, g: TimingGraph, nid: int) -> float | None:
-        entry = g.capture_by_id.get(nid)
-        if entry is not None:
-            cell = entry[0]
-            lc = cell.register_cell
-            return self.clock_period + self._clock_arrival(cell) - lc.setup
-        if nid in g.output_ports_by_id:
+    def _required_seed(self, g: TimingGraph, tid: int) -> float | None:
+        cid = g.capture_by_id.get(tid)
+        if cid is not None:
+            return self._capture(cid)
+        if tid in g.output_ports:
             return self.clock_period - self.output_delay
         return None
 
@@ -315,37 +334,34 @@ class Timer:
         st = _TimingState()
 
         # Forward: arrivals.
-        for cell, q in g.launch_by_id.values():
-            st.arrival[id(q)] = self._clock_arrival(cell) + g.launch_delay[id(q)]
-        for port in g.input_ports_by_id.values():
-            st.arrival[id(port)] = self.input_delay
+        for q, cid in g.launch_by_id.items():
+            st.arrival[q] = self._launch(g, q, cid)
+        for port in g.input_ports:
+            st.arrival[port] = self.input_delay
 
         for node in g.topological_order():
-            a = st.arrival.get(id(node), _NEG_INF)
+            a = st.arrival.get(node, _NEG_INF)
             if a == _NEG_INF:
                 continue
-            for arc in g.fanout.get(id(node), ()):
+            for arc in g.fanout.get(node, ()):
                 cand = a + arc.delay
-                if cand > st.arrival.get(id(arc.dst), _NEG_INF):
-                    st.arrival[id(arc.dst)] = cand
+                if cand > st.arrival.get(arc.dst, _NEG_INF):
+                    st.arrival[arc.dst] = cand
 
         # Backward: required times.
-        for cell, d in g.capture_by_id.values():
-            lc = cell.register_cell
-            st.required[id(d)] = (
-                self.clock_period + self._clock_arrival(cell) - lc.setup
-            )
-        for port in g.output_ports_by_id.values():
-            st.required[id(port)] = self.clock_period - self.output_delay
+        for d, cid in g.capture_by_id.items():
+            st.required[d] = self._capture(cid)
+        for port in g.output_ports:
+            st.required[port] = self.clock_period - self.output_delay
 
         for node in reversed(g.topological_order()):
-            r = st.required.get(id(node), _POS_INF)
-            for arc in g.fanout.get(id(node), ()):
-                r_dst = st.required.get(id(arc.dst), _POS_INF)
+            r = st.required.get(node, _POS_INF)
+            for arc in g.fanout.get(node, ()):
+                r_dst = st.required.get(arc.dst, _POS_INF)
                 if r_dst != _POS_INF:
                     r = min(r, r_dst - arc.delay)
             if r != _POS_INF:
-                st.required[id(node)] = r
+                st.required[node] = r
 
         return st
 
@@ -356,27 +372,21 @@ class Timer:
         max sweep, ``+inf`` for the min sweep), same arithmetic as
         :meth:`_full_state`."""
         seed = k.node_array(sentinel)
-        for nid, (cell, _q) in g.launch_by_id.items():
-            seed[k.slot(nid)] = self._clock_arrival(cell) + g.launch_delay[nid]
-        for nid in g.input_ports_by_id:
-            seed[k.slot(nid)] = self.input_delay
+        launch = g.launch_by_id
+        seed[list(launch)] = [self._launch(g, q, cid) for q, cid in launch.items()]
+        seed[list(g.input_ports)] = self.input_delay
         return seed
 
     def _required_seeds(self, k: ArrayKernel, g: TimingGraph):
         seed = k.node_array(_POS_INF)
-        for nid, (cell, _d) in g.capture_by_id.items():
-            lc = cell.register_cell
-            seed[k.slot(nid)] = (
-                self.clock_period + self._clock_arrival(cell) - lc.setup
-            )
-        for nid in g.output_ports_by_id:
-            seed[k.slot(nid)] = self.clock_period - self.output_delay
+        capture = g.capture_by_id
+        seed[list(capture)] = [self._capture(cid) for cid in capture.values()]
+        seed[list(g.output_ports)] = self.clock_period - self.output_delay
         return seed
 
     def _full_state_array(self, g: TimingGraph) -> _TimingState:
         """From-scratch propagation through the vectorized array kernel."""
         k = self._ensure_kernel(g)
-        k.has_min = False
         st = _TimingState()
         st.arrival = k.full_forward(self._arrival_seeds(k, g))
         st.required = k.full_backward(self._required_seeds(k, g))
@@ -447,28 +457,18 @@ class Timer:
     def _audit(self, g: TimingGraph) -> None:
         """Shadow-run a from-scratch build+propagation and assert equality."""
         fresh = TimingGraph(self.design, self.tech)
-
-        def arc_multiset(graph: TimingGraph) -> dict:
-            counts: dict[tuple[int, int, float], int] = {}
-            for arcs in graph.fanout.values():
-                for arc in arcs:
-                    key = (id(arc.src), id(arc.dst), arc.delay)
-                    counts[key] = counts.get(key, 0) + 1
-            return counts
-
-        mismatches: list[str] = []
-        if arc_multiset(g) != arc_multiset(fresh):
-            mismatches.append("arc set")
-        if g.launch_delay != fresh.launch_delay:
-            mismatches.append("launch delays")
-        if set(g.launch_by_id) != set(fresh.launch_by_id):
-            mismatches.append("launch pins")
-        if set(g.capture_by_id) != set(fresh.capture_by_id):
-            mismatches.append("capture pins")
-        if set(g.input_ports_by_id) != set(fresh.input_ports_by_id):
-            mismatches.append("input ports")
-        if set(g.output_ports_by_id) != set(fresh.output_ports_by_id):
-            mismatches.append("output ports")
+        mismatches = [
+            label
+            for label, live, ref in (
+                ("arc set", g.arc_multiset(), fresh.arc_multiset()),
+                ("launch delays", g.launch_delay, fresh.launch_delay),
+                ("launch pins", g.launch_by_id, fresh.launch_by_id),
+                ("capture pins", g.capture_by_id, fresh.capture_by_id),
+                ("input ports", g.input_ports, fresh.input_ports),
+                ("output ports", g.output_ports, fresh.output_ports),
+            )
+            if live != ref
+        ]
 
         st = self._state
         assert st is not None
@@ -491,29 +491,27 @@ class Timer:
     def slack_at(self, terminal: Terminal) -> float | None:
         """Setup slack at a terminal, ``None`` when unconstrained."""
         st = self._compute()
-        a = st.arrival.get(id(terminal))
-        r = st.required.get(id(terminal))
+        tid = _node(terminal)
+        a = st.arrival.get(tid)
+        r = st.required.get(tid)
         if a is None or r is None:
             return None
         return r - a
 
     def arrival_at(self, terminal: Terminal) -> float | None:
-        return self._compute().arrival.get(id(terminal))
+        return self._compute().arrival.get(_node(terminal))
 
     def endpoint_slacks(self) -> list[EndpointSlack]:
         """Slack at every constrained endpoint (register D bits, output ports)."""
         st = self._compute()
+        g = self.graph
+        name = self.design.store.terminal_name
         out: list[EndpointSlack] = []
-        for _cell, d in self.graph.capture_by_id.values():
-            a = st.arrival.get(id(d))
+        for tid in (*g.capture_by_id, *g.output_ports):
+            a = st.arrival.get(tid)
             if a is None:
                 continue  # D tied off / undriven: unconstrained
-            out.append(EndpointSlack(d.full_name, st.required[id(d)] - a))
-        for port in self.graph.output_ports_by_id.values():
-            a = st.arrival.get(id(port))
-            if a is None:
-                continue
-            out.append(EndpointSlack(port.name, st.required[id(port)] - a))
+            out.append(EndpointSlack(name(tid), st.required[tid] - a))
         # Name order, not graph order: keeps TNS summation bit-identical
         # between a fresh build and an incrementally patched graph.
         out.sort(key=lambda e: e.name)
@@ -535,19 +533,19 @@ class Timer:
         """Earliest arrivals (shortest paths) over one graph, per node in
         Python floats: the audit's reference for the kernel's min sweep."""
         arrival_min: dict[int, float] = {}
-        for cell, q in g.launch_by_id.values():
-            arrival_min[id(q)] = self._clock_arrival(cell) + g.launch_delay[id(q)]
-        for port in g.input_ports_by_id.values():
-            arrival_min[id(port)] = self.input_delay
+        for q, cid in g.launch_by_id.items():
+            arrival_min[q] = self._launch(g, q, cid)
+        for port in g.input_ports:
+            arrival_min[port] = self.input_delay
         for node in g.topological_order():
-            a = arrival_min.get(id(node))
+            a = arrival_min.get(node)
             if a is None:
                 continue
-            for arc in g.fanout.get(id(node), ()):
+            for arc in g.fanout.get(node, ()):
                 cand = a + arc.delay
-                prev = arrival_min.get(id(arc.dst))
+                prev = arrival_min.get(arc.dst)
                 if prev is None or cand < prev:
-                    arrival_min[id(arc.dst)] = cand
+                    arrival_min[arc.dst] = cand
         return arrival_min
 
     def _compute_min_arrivals(self) -> dict[int, float]:
@@ -573,14 +571,14 @@ class Timer:
         violations; the flow benchmarks check this stays clean.
         """
         arrival_min = self._compute_min_arrivals()
+        name = self.design.store.terminal_name
         out: list[EndpointSlack] = []
-        for cell, d in self.graph.capture_by_id.values():
-            a = arrival_min.get(id(d))
+        for d, cid in self.graph.capture_by_id.items():
+            a = arrival_min.get(d)
             if a is None:
                 continue
-            lc = cell.register_cell
-            slack = a - self._clock_arrival(cell) - lc.hold
-            out.append(EndpointSlack(d.full_name, slack))
+            slack = a - self._clock_arrival(cid) - self._register_cell(cid).hold
+            out.append(EndpointSlack(name(d), slack))
         out.sort(key=lambda e: e.name)  # order-independent TNS (see above)
         return out
 
@@ -612,14 +610,14 @@ class Timer:
         for bit in range(lc.width_bits):
             d = cell.pins.get(lc.d_pin(bit))
             if d is not None and d.net is not None:
-                a = st.arrival.get(id(d))
-                r = st.required.get(id(d))
+                a = st.arrival.get(d._tid)
+                r = st.required.get(d._tid)
                 if a is not None and r is not None:
                     d_slack = min(d_slack, r - a)
             q = cell.pins.get(lc.q_pin(bit))
             if q is not None and q.net is not None:
-                a = st.arrival.get(id(q))
-                r = st.required.get(id(q))
+                a = st.arrival.get(q._tid)
+                r = st.required.get(q._tid)
                 if a is not None and r is not None:
                     q_slack = min(q_slack, r - a)
         return RegisterSlack(cell.name, d_slack, q_slack)

@@ -21,29 +21,33 @@ from repro.placement.legalize import PlacementRows, legalize
 from repro.sta.graph import TimingGraph
 
 
-def _key(terminal):
-    """A stable identity for a graph node: (owning cell, pin/port name)."""
-    cell = getattr(terminal, "cell", None)
-    return (cell.name if cell is not None else "", terminal.name)
+def _key(graph: TimingGraph, tid: int) -> str:
+    """A stable identity for a graph node: its name, read from the store."""
+    return graph.design.store.terminal_name(tid)
 
 
 def _arcs(graph: TimingGraph):
     return sorted(
-        (_key(arc.src), _key(arc.dst), arc.delay)
+        (_key(graph, arc.src), _key(graph, arc.dst), arc.delay)
         for arcs in graph.fanout.values()
         for arc in arcs
     )
 
 
 def _seeds(graph: TimingGraph):
+    cell_name = graph.design.store.cell_name
     return {
-        "launch": {(c.name, p.name) for c, p in graph.launch_by_id.values()},
-        "capture": {(c.name, p.name) for c, p in graph.capture_by_id.values()},
+        "launch": {
+            (cell_name[c], _key(graph, t)) for t, c in graph.launch_by_id.items()
+        },
+        "capture": {
+            (cell_name[c], _key(graph, t)) for t, c in graph.capture_by_id.items()
+        },
         "launch_delay": sorted(
-            (_key(graph._nodes[nid]), d) for nid, d in graph.launch_delay.items()
+            (_key(graph, t), d) for t, d in graph.launch_delay.items()
         ),
-        "inputs": {p.name for p in graph.input_ports},
-        "outputs": {p.name for p in graph.output_ports},
+        "inputs": {_key(graph, t) for t in graph.input_ports},
+        "outputs": {_key(graph, t) for t in graph.output_ports},
     }
 
 

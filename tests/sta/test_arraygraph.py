@@ -51,14 +51,14 @@ class TestArrayVsDictEquivalence:
         summary = timer.summary()
         g = timer.graph
         ref = timer._full_state(g)
+        name = flop_row.store.terminal_name
         endpoints = sorted(
-            [(d.full_name, id(d)) for _cell, d in g.capture_by_id.values()]
-            + [(p.name, id(p)) for p in g.output_ports_by_id.values()]
+            (name(tid), tid) for tid in (*g.capture_by_id, *g.output_ports)
         )
         slacks = [
-            ref.required[nid] - ref.arrival[nid]
-            for _name, nid in endpoints
-            if nid in ref.arrival
+            ref.required[tid] - ref.arrival[tid]
+            for _name, tid in endpoints
+            if tid in ref.arrival
         ]
         assert summary.wns == min(slacks)
         assert summary.tns == sum(s for s in slacks if s < 0.0)

@@ -73,7 +73,7 @@ class TestHoldAnalysis:
         timer = Timer(d, clock_period=5.0)
         dpin = dst.pin("D")
         max_arr = timer.arrival_at(dpin)
-        min_arr = timer._compute_min_arrivals()[id(dpin)]
+        min_arr = timer._compute_min_arrivals()[dpin._tid]
         assert min_arr < max_arr
 
     def test_hold_survives_composition(self, lib):

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.check import assert_clean, diff_timer_vs_fresh
+from repro.check import assert_clean, check_timing, diff_timer_vs_fresh
 from repro.geometry import Point
 from repro.library.functional import DFF_R
 from repro.netlist import compose_mbr
@@ -213,6 +213,77 @@ class TestComposeCost:
         small = self._merge_ff0_ff1(lib, 8, kernel)
         large = self._merge_ff0_ff1(lib, 64, kernel)
         assert small == large
+
+
+class TestRecycledPinSlots:
+    """A freed pin block goes to the next cell of the same pin count.
+
+    Timing nodes are keyed by pin slot, so a cell added (or a libcell
+    swapped) in the same edit that frees a block takes over node ids that
+    were live a moment before.  The patched timer must treat them as new
+    terminals: the audited retime agrees with a from-scratch build, the
+    dead cell's pin views read as absent, and the new pins read what a
+    fresh timer reads.
+    """
+
+    @staticmethod
+    def _warm(design):
+        timer = Timer(design, clock_period=1.0, audit_mode=True)
+        timer.summary()
+        timer.hold_summary()
+        return timer
+
+    @staticmethod
+    def _assert_recycled(design, timer, record, old_pins, new_cell):
+        for old in old_pins:
+            assert type(old).__name__ == "_DetachedPin"
+        assert [p._tid for p in old_pins] == [
+            new_cell.pin(p.name)._tid for p in old_pins
+        ], "the edit must reuse the freed pin block"
+        timer.apply_change(record)
+        timer.summary()  # the audited retime
+        assert_clean(check_timing(timer))
+        for old in old_pins:
+            assert timer.slack_at(old) is None
+            assert timer.arrival_at(old) is None
+        fresh = Timer(design, clock_period=1.0)
+        for pin in (new_cell.pin("D"), new_cell.pin("Q")):
+            assert timer.slack_at(pin) is not None
+            assert timer.slack_at(pin) == fresh.slack_at(pin)
+        assert timer.register_slack(new_cell) == fresh.register_slack(new_cell)
+        _assert_matches_fresh(timer, 1.0)
+
+    @pytest.mark.parametrize("in_place", [False, True], ids=["moved", "in-place"])
+    def test_added_cell_reuses_a_removed_registers_pins(self, flop_row, in_place):
+        timer = self._warm(flop_row)
+        ff0 = flop_row.cell("ff0")
+        old_pins = [ff0.pin(name) for name in ("D", "Q", "CK", "RN")]
+        # In place, the recycled Q slot drives ff0's old Q net from the same
+        # spot: the graph keeps its arcs and the slot keeps its values.
+        origin = ff0.origin if in_place else Point(30.0, 60.0)
+        with flop_row.track() as tracker:
+            libcell = ff0.libcell
+            flop_row.remove_cell(ff0)
+            new = flop_row.add_cell("ffx", libcell, origin)
+            # D moves to ff1's Q net; Q takes over ff0's old Q net, so the
+            # recycled Q slot drives the same net from a new place.
+            flop_row.connect(new.pin("D"), "n_q1")
+            flop_row.connect(new.pin("Q"), "n_q0")
+            flop_row.connect(new.pin("CK"), "clk")
+            flop_row.connect(new.pin("RN"), "rst")
+        self._assert_recycled(flop_row, timer, tracker.record(), old_pins, new)
+
+    def test_swapped_libcell_reuses_its_own_pins(self, lib, flop_row):
+        timer = self._warm(flop_row)
+        ff0 = flop_row.cell("ff0")
+        old_pins = [ff0.pin(name) for name in ("D", "Q", "CK", "RN")]
+        target = next(
+            c for c in lib.register_cells(DFF_R, 1) if c.name != ff0.libcell.name
+        )
+        with flop_row.track() as tracker:
+            flop_row.swap_libcell(ff0, target)
+            flop_row.connect(ff0.pin("D"), "n_q1")
+        self._assert_recycled(flop_row, timer, tracker.record(), old_pins, ff0)
 
 
 class TestSkewLifecycle:

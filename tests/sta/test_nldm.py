@@ -90,7 +90,7 @@ class TestNldmAnalysis:
         for i in range(3):
             dpin = d.cell(f"ff{i}").pin("D")
             linear = timer.arrival_at(dpin)
-            table = state[id(dpin)][0]
+            table = state[dpin._tid][0]
             assert table == pytest.approx(linear, abs=1e-9)
 
     def test_sensitivity_slows_paths(self, lib):
@@ -99,7 +99,7 @@ class TestNldmAnalysis:
         base = nldm_arrivals(d, timer, slew_sensitivity=0.0)
         slow = nldm_arrivals(d, timer, slew_sensitivity=0.3)
         dpin = d.cell("ff0").pin("D")
-        assert slow[id(dpin)][0] > base[id(dpin)][0]
+        assert slow[dpin._tid][0] > base[dpin._tid][0]
 
     def test_slew_degrades_along_wire(self, lib):
         from repro.geometry import Rect
@@ -111,8 +111,8 @@ class TestNldmAnalysis:
         # the buffer then restores it (its output slew is load-driven).
         apin = d.cell("ibuf0").pin("A")
         dpin = d.cell("ff0").pin("D")
-        assert state[id(apin)][1] > 0.02  # degraded vs the 0.02 port slew
-        assert state[id(dpin)][1] < state[id(apin)][1]  # buffer restored it
+        assert state[apin._tid][1] > 0.02  # degraded vs the 0.02 port slew
+        assert state[dpin._tid][1] < state[apin._tid][1]  # buffer restored it
 
     def test_skew_offsets_respected(self, lib):
         d = make_flop_row(lib, n_flops=1, name="nldm3")
@@ -121,4 +121,4 @@ class TestNldmAnalysis:
         timer.set_skew("ff0", 0.1)
         skewed = nldm_arrivals(d, timer)
         qpin = d.cell("ff0").pin("Q")
-        assert skewed[id(qpin)][0] == pytest.approx(base[id(qpin)][0] + 0.1)
+        assert skewed[qpin._tid][0] == pytest.approx(base[qpin._tid][0] + 0.1)

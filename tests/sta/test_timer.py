@@ -111,7 +111,9 @@ class TestUsefulSkew:
 
 
 class TestGraphStructure:
-    def test_loop_detection(self, lib):
+    def test_loop_detection(self, lib, monkeypatch):
+        """A two-inverter loop is diagnosed by the vectorized levelization
+        the timer runs, and by the reference topological order."""
         d = Design("loop", lib, Rect(0, 0, 10, 10))
         a = d.add_cell("a", "INV_X1", Point(1, 1))
         b = d.add_cell("b", "INV_X1", Point(2, 2))
@@ -121,8 +123,13 @@ class TestGraphStructure:
         d.connect(b.pin("Z"), n2)
         d.connect(a.pin("A"), n2)
         timer = Timer(d, clock_period=1.0)
-        with pytest.raises(ValueError, match="loop"):
-            timer.summary()
+        with monkeypatch.context() as mp:
+            # The production sweep never takes the reference order.
+            mp.setattr(TimingGraph, "topological_order", None)
+            with pytest.raises(ValueError, match="combinational loop detected: 4 nodes"):
+                timer.summary()
+        with pytest.raises(ValueError, match="combinational loop detected: 4 nodes"):
+            TimingGraph(d).topological_order()
 
     def test_dirty_invalidates_after_edit(self, lib, flop_row):
         timer = Timer(flop_row, clock_period=1.0)
@@ -138,25 +145,35 @@ class TestGraphStructure:
         assert after == before  # same endpoints, new cells
 
     def test_build_reads_store_columns_not_net_views(self, lib, monkeypatch):
-        """The graph build walks store columns: no net view, no terminal list."""
+        """The graph build and the first propagation read store columns
+        only: no view of any kind, no terminal list."""
         bundle = generate_design(preset("D1", scale=0.15), lib)
-        calls = {"net_view": 0, "terminals": 0}
-        net_view = NetlistStore.net_view
-        terminals = Net.terminals
+        views = ("net_view", "pin_view", "cell_view", "port_view")
+        calls = dict.fromkeys((*views, "terminals"), 0)
 
-        def counting_net_view(store, nid):
-            calls["net_view"] += 1
-            return net_view(store, nid)
+        def counting(name, original):
+            def view(store, *args, **kwargs):
+                calls[name] += 1
+                return original(store, *args, **kwargs)
+
+            return view
+
+        for name in views:
+            monkeypatch.setattr(
+                NetlistStore, name, counting(name, getattr(NetlistStore, name))
+            )
+        terminals = Net.terminals
 
         def counting_terminals(net):
             calls["terminals"] += 1
             return terminals.fget(net)
 
-        monkeypatch.setattr(NetlistStore, "net_view", counting_net_view)
         monkeypatch.setattr(Net, "terminals", property(counting_terminals))
         graph = TimingGraph(bundle.design)
         assert graph.node_count > 0 and graph.capture_by_id
-        assert calls == {"net_view": 0, "terminals": 0}
+        summary = Timer(bundle.design, bundle.clock_period).summary()
+        assert summary.total_endpoints > 0
+        assert calls == dict.fromkeys(calls, 0)
 
     def test_reg_to_reg_path(self, lib):
         # ff0.Q -> inv -> ff1.D direct register-to-register path.
