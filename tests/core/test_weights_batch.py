@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.compatibility import RegisterInfo
 from repro.core.weights import (
     RegisterField,
+    blocking_registers,
     candidate_weight,
     candidate_weights_batch,
 )
@@ -39,12 +40,42 @@ def _info(name, x, y, w=2.0, bits=1):
 
 coords = st.integers(min_value=0, max_value=40).map(float)
 
+# Placement-grid coordinates: 0.2 um sites, 1.0 um rows, behind an offset
+# that no binary fraction spells exactly, so hull cross products round.
+SITE, ROW = 0.2, 1.0
+OFFSETS = st.sampled_from([0.0, 0.1, 37.3, 1234.567])
+WIDTHS = st.sampled_from([2.0, 2.3, 3.56, 6.68, 12.92])
+
 
 @st.composite
 def group_batches(draw):
     """A field of registers plus several multi-member candidate groups."""
     n = draw(st.integers(4, 14))
     infos = [_info(f"r{i}", draw(coords), draw(coords)) for i in range(n)]
+    return infos, draw(_groups(infos))
+
+
+@st.composite
+def site_grid_batches(draw):
+    """Registers of mixed widths on a few rows of a site grid; most
+    groups span several rows, so their test polygons are true hulls."""
+    ox, oy = draw(OFFSETS), draw(OFFSETS)
+    n = draw(st.integers(4, 16))
+    infos = [
+        _info(
+            f"r{i}",
+            ox + draw(st.integers(0, 60)) * SITE,
+            oy + draw(st.integers(0, 4)) * ROW,
+            w=draw(WIDTHS),
+        )
+        for i in range(n)
+    ]
+    return infos, draw(_groups(infos))
+
+
+@st.composite
+def _groups(draw, infos):
+    n = len(infos)
     n_groups = draw(st.integers(1, 6))
     groups = []
     for _ in range(n_groups):
@@ -53,7 +84,7 @@ def group_batches(draw):
             st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)
         )
         groups.append([infos[i] for i in idx])
-    return infos, groups
+    return groups
 
 
 class TestBlockersCountBatch:
@@ -76,6 +107,19 @@ class TestBlockersCountBatch:
         batch = candidate_weights_batch(field, groups, bits)
         for pair, members in zip(batch, groups):
             assert pair == candidate_weight(members, field, saturate=True)
+
+    @settings(max_examples=80, deadline=None)
+    @given(site_grid_batches(), st.sampled_from([None, 64]))
+    def test_site_grid_counts_match_scalar_blockers(self, data, cap):
+        # The batch hulls only band-extreme corners; the scalar path and
+        # the list reference hull every corner.
+        infos, groups = data
+        field = RegisterField(infos)
+        caps = [cap or sum(m.bits for m in g) for g in groups]
+        batch = field.blockers_count_batch(groups, caps)
+        for count, members, c in zip(batch, groups, caps):
+            assert count == min(len(field.blockers(members)), c)
+            assert count == min(len(blocking_registers(members, infos)), c)
 
     def test_foreign_members_fall_back_to_scalar_path(self):
         infos = [_info(f"r{i}", 4.0 * i, 10.0) for i in range(8)]
