@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.geometry.point import Point
-from repro.geometry.rect import Rect
+from repro.geometry.rect import Rect, last_origin
 from repro.library.cells import PinDirection, RegisterCell
 from repro.library.functional import DFF_R, DFF_R_S, FunctionalClass, ScanStyle
 from repro.library.library import CellLibrary
@@ -433,10 +433,22 @@ def _snap_to_grid(design: Design, library: CellLibrary) -> None:
         (rows.core.xhi - rows.core.xlo - widths) / rows.site_width + 1e-9
     )
     np.clip(site, 0, np.maximum(max_site, 0), out=site)
-    store.cell_x[live] = rows.core.xlo + site * rows.site_width
+    x = rows.core.xlo + site * rows.site_width
     row = np.round((store.cell_y[live] - rows.core.ylo) / rows.row_height)
     np.clip(row, 0, max(rows.num_rows - 1, 0), out=row)
-    store.cell_y[live] = rows.core.ylo + row * rows.row_height
+    y = rows.core.ylo + row * rows.row_height
+    # ``xlo + site * site_width`` can round up past the last origin that
+    # keeps the footprint on the die (0.2 * 1672 + 2.0 > 336.4); pull
+    # those few origins, and any top-row y likewise, back to it.
+    heights = np.array(
+        [rec.libcell.height for rec in store.libs], dtype=np.float64
+    )[store.cell_lib[live]]
+    for k in np.flatnonzero(x + widths > rows.core.xhi).tolist():
+        x[k] = last_origin(rows.core.xhi, float(widths[k]))
+    for k in np.flatnonzero(y + heights > rows.core.yhi).tolist():
+        y[k] = last_origin(rows.core.yhi, float(heights[k]))
+    store.cell_x[live] = x
+    store.cell_y[live] = y
 
 
 def _fit_clock_period(design: Design, spec: BenchmarkSpec, library: CellLibrary) -> float:

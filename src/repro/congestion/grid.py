@@ -168,15 +168,17 @@ class CongestionGrid:
         tracks_per_um: float = 8.0,
     ) -> "CongestionGrid":
         grid = CongestionGrid(design.die, bins_x, bins_y, tracks_per_um)
+        # Every net with two or more pins and a non-degenerate box, read
+        # from the store columns: no net view per net.
+        store = design.store
+        counts = store.net_count
         boxes = []
-        for net in design.nets.values():
-            box = net.bbox()
-            if (
-                box is not None
-                and net.num_pins >= 2
-                and (box.width > 0 or box.height > 0)
-            ):
-                boxes.append((box.xlo, box.ylo, box.xhi, box.yhi))
+        for nid in store.net_ids.values():
+            if counts[nid] < 2:
+                continue
+            box = store.net_bbox(nid)
+            if box is not None and (box[2] - box[0] > 0 or box[3] - box[1] > 0):
+                boxes.append(box)
         arr = np.array(boxes, dtype=float).reshape(-1, 4)
         grid._add_boxes(arr, np.ones(len(arr)))
         return grid

@@ -3,6 +3,10 @@
 import pytest
 
 from repro.bench import BenchmarkSpec, generate_design, preset, PRESETS
+from repro.bench.generator import _snap_to_grid
+from repro.check.invariants import check_design
+from repro.geometry import Point, Rect
+from repro.netlist import Design
 from repro.netlist.validate import validate_design
 
 
@@ -82,6 +86,28 @@ class TestGeneratedDesign:
     def test_clock_gating_present(self, bundle):
         gated = [n for n in bundle.design.nets.values() if n.is_clock and n.name != "clk"]
         assert gated  # some clusters are behind ICGs
+
+
+class TestOnTheDie:
+    def test_d3_at_scale_04_stays_on_the_die(self, lib):
+        # Its 82 um die puts a 0.4 um cell's last site at 81.60000000000001.
+        bundle = generate_design(preset("D3", scale=0.4), lib)
+        outside = [
+            v for v in check_design(bundle.design) if v.check == "cell-outside-die"
+        ]
+        assert outside == []
+
+    def test_snap_keeps_the_last_site_on_the_die(self, lib):
+        # 0.2 * 1672 == 334.40000000000003, and 334.40000000000003 + 2.0
+        # ends past the 336.4 um die edge.
+        die = Rect(0.0, 0.0, 336.4, 10.0)
+        design = Design("snap", lib, die)
+        cell = design.add_cell("edge", "DFF_R_X1", Point(336.3, 3.2))
+        assert cell.libcell.width == 2.0
+        _snap_to_grid(design, lib)
+        assert die.contains_rect(cell.footprint), cell.footprint
+        assert abs(cell.origin.x - 334.4) < 1e-9
+        assert cell.origin.y == 3.0
 
 
 class TestPresets:

@@ -114,3 +114,16 @@ class TestLegalize:
         assert _no_overlaps(d)
         used_rows = {c.origin.y for c in d.cells.values()}
         assert len(used_rows) > 1
+
+    def test_last_site_of_the_top_row_ends_on_the_die(self, lib):
+        # 408 * 0.2 == 81.60000000000001 and 91.98 + 141 == 232.98000000000002:
+        # the last site of a 0.4 um cell and the top row both round up, and
+        # the seated footprint must still end on the die.
+        die = Rect(0.0, 91.98, 82.0, 233.98)
+        grid = PlacementRows(die, row_height=1.0, site_width=0.2)
+        d = Design("t", lib, die)
+        cell = d.add_cell("edge", "INV_X1", Point(81.9, 233.5))
+        res = legalize(d, grid)
+        assert res.ok
+        assert die.contains_rect(cell.footprint), cell.footprint
+        assert _on_grid(d, grid)
