@@ -51,7 +51,7 @@ def enumerate_subcliques(
     min_members: int = 2,
     allow_incomplete: bool = False,
     max_subsets_per_total: int = 512,
-) -> list[frozenset[str]]:
+) -> list[tuple[str, ...]]:
     """Sub-cliques of a maximal clique whose bit sums are *useful*.
 
     Every subset of a clique is a clique, so enumeration reduces to subset
@@ -64,14 +64,16 @@ def enumerate_subcliques(
     acceptance rule).
 
     Members are processed in sorted order; each DP state records the chosen
-    subset, so emitted-subset count (not clique size) bounds the work.
+    subset, so emitted-subset count (not clique size) bounds the work.  A
+    sub-clique comes back as that name-sorted tuple, the canonical key
+    candidate validation dedupes and reads members by.
     ``max_subsets_per_total`` caps the DP fan-out per bit-sum — a safety
     valve against degenerate dense cliques (a 30-clique of 1-bit registers
     has millions of <=8-bit subsets; keeping the lexicographically earliest
     ones preserves the spatially-sorted neighbours that matter).
     """
     members = sorted(clique)
-    results: list[frozenset[str]] = []
+    results: list[tuple[str, ...]] = []
     larger_exists = {
         total: any(w > total for w in target_bit_sums) for total in range(max_bits + 1)
     }
@@ -103,5 +105,5 @@ def enumerate_subcliques(
         for subset in subsets:
             if len(subset) < min_members:
                 continue
-            results.append(frozenset(subset))
+            results.append(subset)
     return results
