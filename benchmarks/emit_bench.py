@@ -6,9 +6,8 @@ D1 and D2) under a fresh metrics registry + tracer per design, and
 writes one stable-schema JSON (``repro.bench.flow/2``, see
 :mod:`repro.obs.manifest`) that CI validates and archives per commit —
 so runtime, solver-effort, and QoR regressions show up as diffs of a
-single artifact.  Each design entry also carries an ``eco`` block: a
-repeated :class:`~repro.flow.EcoSession` recompose whose ILP solves are
-warm-started from the first pass's incumbents.
+single artifact.  Each design entry also carries an ``eco`` block: the
+prime and incremental-recompose times of one :class:`~repro.flow.EcoSession`.
 
 Every emit is stamped with the producing commit (``git_sha``) and
 appended as a one-line summary to ``BENCH_history.jsonl``, giving a
@@ -76,23 +75,18 @@ def git_dirty() -> bool:
     return out.returncode == 0 and bool(out.stdout.strip())
 
 
-def _eco_warmstart_demo(name: str, scale: float, library) -> dict:
+def _eco_demo(name: str, scale: float, library) -> dict:
     """Repeated ``EcoSession.recompose`` over one session cache.
 
     Primes a session (full compose), nudges a few registers, and
-    recomposes incrementally: the dirty components re-solve their ILPs
-    against warm-start bounds re-weighed from the first pass's
-    incumbents.  Returns the demo's headline numbers; the warm-start
-    counters also land in the design's metrics snapshot.
+    recomposes incrementally: only the dirty components re-solve their
+    ILPs.  Returns the demo's prime and recompose times.
     """
     bundle = generate_design(preset(name, scale=scale), library)
     session = EcoSession(bundle.design, bundle.timer, bundle.scan_model)
     t0 = time.perf_counter()
     session.recompose()
     prime_seconds = time.perf_counter() - t0
-
-    counters = obs.get_registry().snapshot()["counters"]
-    before = counters.get("ilp.setpart.warmstart_hits", 0)
 
     design = session.design
     rng = random.Random(5)
@@ -113,12 +107,10 @@ def _eco_warmstart_demo(name: str, scale: float, library) -> dict:
     t0 = time.perf_counter()
     stats = session.recompose()
     recompose_seconds = time.perf_counter() - t0
-    counters = obs.get_registry().snapshot()["counters"]
     return {
         "prime_seconds": round(prime_seconds, 6),
         "recompose_seconds": round(recompose_seconds, 6),
         "incremental": bool(stats.incremental),
-        "warmstart_hits": counters.get("ilp.setpart.warmstart_hits", 0) - before,
     }
 
 
@@ -133,7 +125,7 @@ def run_design(name: str, scale: float, workers: int = 1) -> dict:
     config.composer.workers = workers
     report = run_flow(bundle.design, bundle.timer, bundle.scan_model, config)
     stage_seconds = {r.name: round(r.seconds, 6) for r in report.trace.records}
-    eco = _eco_warmstart_demo(name, scale, library)
+    eco = _eco_demo(name, scale, library)
     return {
         "runtime_seconds": round(report.runtime_seconds, 6),
         "stage_seconds": stage_seconds,
@@ -161,7 +153,6 @@ def history_record(data: dict) -> dict:
                 "compose_seconds": entry["stage_seconds"].get("compose", 0.0),
                 "registers_after": entry["registers_after"],
                 "tns": entry["tns"],
-                "warmstart_hits": entry["eco"]["warmstart_hits"],
             }
             for name, entry in data["designs"].items()
         },
@@ -292,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{name}: {entry['runtime_seconds']:.2f}s, "
             f"{entry['registers_before']} -> {entry['registers_after']} regs, "
             f"TNS {entry['tns']:.2f}, "
-            f"eco warm-start hits {entry['eco']['warmstart_hits']}"
+            f"eco recompose {entry['eco']['recompose_seconds']:.3f}s"
         )
     print(f"wrote {args.out} (git {data['git_sha']})")
     if not args.no_history:

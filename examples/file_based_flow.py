@@ -12,6 +12,7 @@ import tempfile
 from pathlib import Path
 
 from repro.bench import generate_design, preset
+from repro.check import check_design
 from repro.core.composer import compose_design
 from repro.io import (
     read_def,
@@ -22,7 +23,6 @@ from repro.io import (
     write_verilog,
 )
 from repro.library import default_library
-from repro.netlist.validate import validate_design
 from repro.scan import ScanModel
 from repro.sta import Timer
 
@@ -59,7 +59,7 @@ def main() -> None:
           f"{result.registers_before} -> {result.registers_after} registers")
     print(f"timing: TNS {before.tns:.2f} -> {after.tns:.2f} ns, "
           f"failing endpoints {before.failing_endpoints} -> {after.failing_endpoints}")
-    errors = [i for i in validate_design(design) if i.is_error]
+    errors = check_design(design)
     print(f"netlist validation: {'clean' if not errors else errors}")
 
     write_verilog(design, workdir / "design_composed.v")

@@ -21,12 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro import obs
-from repro.ilp.setpart import (
-    SetPartitionProblem,
-    SetPartitionSolution,
-    WarmStart,
-    solve_set_partition,
-)
+from repro.ilp.setpart import SetPartitionProblem, solve_set_partition
 
 
 @dataclass(frozen=True)
@@ -43,13 +38,6 @@ class SubproblemSpec:
     nodes: tuple[str, ...]
     subsets: tuple[tuple[int, ...], ...]
     weights: tuple[float, ...]
-    solver: str = "exact"
-    warm_bound: float = float("inf")
-    """Objective of a known-feasible solution of *this* instance (typically a
-    prior solve of the same subgraph re-weighed against the current
-    candidates).  ``inf`` means no warm start; a finite value seeds the
-    exact solver's pruning cutoff (bound-only — see
-    :class:`repro.ilp.setpart.WarmStart`)."""
 
     def to_problem(self) -> SetPartitionProblem:
         return SetPartitionProblem(
@@ -64,8 +52,9 @@ class SubproblemResult:
     """The solve stage's pure output: which candidates to keep.
 
     ``chosen`` indexes into the candidate list the spec was built from;
-    ``nodes_explored`` counts branch-and-bound nodes (0 for the HiGHS
-    backend, matching the historical accounting).
+    ``nodes_explored`` counts branch-and-bound nodes.  ``optimal`` is
+    False when the node budget ran out: ``chosen`` is then the search's
+    best incumbent, kept as-is.
     """
 
     index: int
@@ -79,8 +68,6 @@ def make_spec(
     index: int,
     node_names: Sequence[str],
     candidates: Sequence[object],
-    solver: str = "exact",
-    warm_bound: float = float("inf"),
 ) -> SubproblemSpec:
     """Detach one subgraph + its :class:`~repro.core.candidates.CandidateMBR`
     list into a picklable spec (candidate order is preserved, so result
@@ -94,70 +81,41 @@ def make_spec(
             tuple(sorted(position[m] for m in c.members)) for c in candidates
         ),
         weights=tuple(c.weight for c in candidates),
-        solver=solver,
-        warm_bound=warm_bound,
     )
-
-
-def _solve_scipy(problem: SetPartitionProblem) -> SetPartitionSolution:
-    from repro.ilp.scipy_backend import scipy_available, solve_set_partition_scipy
-
-    if not scipy_available():
-        raise RuntimeError(
-            "solver='scipy' requires SciPy; install it or use solver='exact'"
-        )
-    return solve_set_partition_scipy(problem)
 
 
 def solve_subproblem(spec: SubproblemSpec) -> SubproblemResult:
     """Solve one spec. Pure: no design access, no shared state.
 
-    ``solver='exact'`` runs the branch-and-bound; if the node budget runs
-    out on a pathologically dense instance *and* SciPy is installed, HiGHS
-    finishes the job and the better solution wins.  On a NumPy-only
-    install the incumbent is used as-is, so the exact path has no hard
-    SciPy dependency.
+    One exact branch-and-bound solve.  If its node budget runs out on a
+    pathologically dense instance, ``ilp.budget_exhausted`` is logged and
+    the incumbent is returned with ``optimal=False``; nothing re-solves
+    it, so the result never depends on which packages are installed.
     """
-    problem = spec.to_problem()
     with obs.span(
         "ilp.solve",
         cat="ilp",
         subproblem=spec.index,
         elements=len(spec.nodes),
         candidates=len(spec.subsets),
-        solver=spec.solver,
     ) as sp:
-        if spec.solver == "scipy":
-            sol = _solve_scipy(problem)
-            nodes = 0
-        elif spec.solver == "exact":
-            warm = WarmStart(spec.warm_bound)
-            sol = solve_set_partition(problem, warm=warm if warm.usable else None)
-            nodes = sol.nodes_explored
-            if not sol.optimal:
-                from repro.ilp.scipy_backend import scipy_available
-
-                obs.log(
-                    "ilp.budget_exhausted",
-                    subproblem=spec.index,
-                    nodes=sol.nodes_explored,
-                )
-                if scipy_available():
-                    alt = _solve_scipy(problem)
-                    if alt.feasible and alt.objective < sol.objective - 1e-9:
-                        sol = alt
-        else:
-            raise ValueError(f"unknown solver {spec.solver!r}")
+        sol = solve_set_partition(spec.to_problem())
+        if not sol.optimal:
+            obs.log(
+                "ilp.budget_exhausted",
+                subproblem=spec.index,
+                nodes=sol.nodes_explored,
+            )
         if not sol.feasible:  # pragma: no cover - singletons guarantee feasibility
             raise RuntimeError(
                 "composition ILP infeasible despite singleton candidates"
             )
-        sp.set(nodes=nodes, chosen=len(sol.chosen))
+        sp.set(nodes=sol.nodes_explored, chosen=len(sol.chosen))
     return SubproblemResult(
         index=spec.index,
         chosen=tuple(sol.chosen),
         objective=sol.objective,
-        nodes_explored=nodes,
+        nodes_explored=sol.nodes_explored,
         optimal=sol.optimal,
     )
 

@@ -151,8 +151,9 @@ class EcoSession:
     ``audit_mode`` arms the shadow equivalence check (default: the
     ``REPRO_ECO_AUDIT`` environment variable).  ``cache`` lets repeated
     sessions over related designs share one
-    :class:`~repro.core.composer.CompositionCache` — in particular its ILP
-    warm-start incumbents, so a re-run's solves prune immediately.
+    :class:`~repro.core.composer.CompositionCache` — in particular its
+    component memo, so components one session solved can be replayed in
+    another instead of re-solved.
     """
 
     def __init__(

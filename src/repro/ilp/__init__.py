@@ -13,15 +13,15 @@ Production used an industrial solver; this package provides:
 * :mod:`repro.ilp.branch_bound` — a generic 0/1 ILP branch-and-bound over
   the simplex relaxation, used to cross-check the specialized solver;
 * :mod:`repro.ilp.scipy_backend` — optional HiGHS-backed solvers
-  (``scipy.optimize.milp`` / ``linprog``) used in tests to validate the
-  pure-Python implementations.
+  (``scipy.optimize.milp`` / ``linprog``), test references only: the tests
+  check the pure-Python solvers against them, and the flow never calls
+  them.
 """
 
 from repro.ilp.simplex import LPResult, LPStatus, solve_lp
 from repro.ilp.setpart import (
     SetPartitionProblem,
     SetPartitionSolution,
-    WarmStart,
     solve_set_partition,
 )
 from repro.ilp.branch_bound import solve_binary_program
@@ -33,7 +33,6 @@ __all__ = [
     "solve_lp",
     "SetPartitionProblem",
     "SetPartitionSolution",
-    "WarmStart",
     "solve_set_partition",
     "solve_binary_program",
     "scipy_available",

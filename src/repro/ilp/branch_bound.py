@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.ilp.setpart import WarmStart
 from repro.ilp.simplex import LPStatus, solve_lp
 
 
@@ -39,14 +38,8 @@ def solve_binary_program(
     A_eq=None,
     b_eq=None,
     max_nodes: int = 100_000,
-    warm: WarmStart | None = None,
 ) -> BinaryProgramResult:
     """Solve ``min c.x`` with binary ``x`` under linear constraints.
-
-    ``warm`` carries a feasible objective bound from a previous matching
-    solve; it seeds the pruning cutoff only (the warm solution is never
-    adopted as the incumbent), so the returned optimum is identical to a
-    cold run while provably-dominated subtrees are cut immediately.
 
     Raises ``RuntimeError`` if ``max_nodes`` subproblems are exhausted
     before proving optimality, or if a relaxation hits the simplex pivot
@@ -59,11 +52,6 @@ def solve_binary_program(
     counter = itertools.count()
     incumbent: np.ndarray | None = None
     incumbent_obj = float("inf")
-    if warm is not None and warm.usable:
-        # 2e-9 keeps the effective prune threshold (cutoff - 1e-9) strictly
-        # above the true optimum despite summation-order noise in the bound.
-        incumbent_obj = warm.bound + 2e-9
-        obs.get_registry().counter("ilp.bnb.warmstart_hits").inc()
     nodes = 0
     pruned = 0
 

@@ -1,8 +1,9 @@
 """Optional SciPy (HiGHS) backends mirroring the pure-Python solvers.
 
-Used in tests to validate :mod:`repro.ilp.simplex` and
-:mod:`repro.ilp.setpart` against an industrial-strength implementation,
-and available as alternative engines in the composition flow.
+Test references only: the tests check :mod:`repro.ilp.simplex` and
+:mod:`repro.ilp.setpart` against an industrial-strength implementation.
+The composition flow never calls them, so its results do not depend on
+whether SciPy is installed.
 """
 
 from __future__ import annotations

@@ -48,46 +48,17 @@ class SetPartitionSolution:
     nodes_explored: int = 0
     optimal: bool = True
     """False when the node budget ran out: ``chosen`` is the best incumbent
-    found, feasible but not proven optimal."""
+    found, feasible but not proven optimal.  Nothing re-solves it; the
+    composer uses it as-is and counts it in its solve stage's
+    ``suboptimal``."""
     nodes_pruned: int = 0
     """Subtrees cut before expansion: share-bound prunes, memo prunes, and
     uncoverable-element prunes combined."""
-    warm_pruned: int = 0
-    """Subtrees cut by the warm-start cutoff alone — prunes the incumbent
-    found so far could not yet justify."""
-
-
-#: Safety margin added to a warm-start bound before it becomes a pruning
-#: cutoff.  A warm bound is the objective of a known-feasible solution
-#: summed in *some* order; 1e-9 dominates any float reassociation noise, so
-#: the cutoff provably exceeds the true optimum and the search returns the
-#: exact solution (same tie-breaks included) a cold run would.
-WARM_MARGIN = 1e-9
-
-
-@dataclass(frozen=True)
-class WarmStart:
-    """A feasible-solution bound carried over from a matching instance.
-
-    Bound-only by design: the branch-and-bound *never* adopts the warm
-    solution as its incumbent — it only uses ``bound`` (plus
-    :data:`WARM_MARGIN`) as an additional pruning cutoff.  Subtrees that
-    cannot beat the known solution are cut immediately, but the returned
-    optimum is bit-identical to a cold run, which keeps the ECO audit's
-    replay guarantees intact even across equal-cost ties.
-    """
-
-    bound: float
-
-    @property
-    def usable(self) -> bool:
-        return self.bound < float("inf")
 
 
 def solve_set_partition(
     problem: SetPartitionProblem,
     max_nodes: int = 50_000,
-    warm: WarmStart | None = None,
 ) -> SetPartitionSolution:
     """Exact optimum of a weighted set-partitioning instance.
 
@@ -96,7 +67,8 @@ def solve_set_partition(
     its instances are feasible by construction).  ``max_nodes`` bounds the
     branch-and-bound; on pathological instances (dense overlapping
     candidate families) the search stops there and returns the incumbent
-    with ``optimal=False`` — callers can fall back to an LP-based solver.
+    with ``optimal=False``.  The search is deterministic, so a spent
+    budget gives the same incumbent on every install.
     """
     n = problem.n_elements
     full = (1 << n) - 1
@@ -122,9 +94,6 @@ def solve_set_partition(
     ]
 
     sol = SetPartitionSolution(feasible=False, objective=float("inf"))
-    cutoff = float("inf")
-    if warm is not None and warm.usable:
-        cutoff = warm.bound + WARM_MARGIN
     memo: dict[int, float] = {}
 
     def bound(uncovered: int) -> float:
@@ -152,12 +121,6 @@ def solve_set_partition(
         lb = bound(uncovered)
         if cost + lb >= sol.objective - 1e-12:
             sol.nodes_pruned += 1
-            return
-        if cost + lb >= cutoff:
-            # Only the warm incumbent justifies this cut (the bound above
-            # did not): count it as a warm-start prune.
-            sol.nodes_pruned += 1
-            sol.warm_pruned += 1
             return
         seen = memo.get(uncovered)
         if seen is not None and cost >= seen - 1e-12:
@@ -194,9 +157,6 @@ def solve_set_partition(
     reg.counter("ilp.setpart.solves").inc()
     reg.counter("ilp.setpart.nodes_explored").inc(sol.nodes_explored)
     reg.counter("ilp.setpart.nodes_pruned").inc(sol.nodes_pruned)
-    if warm is not None and warm.usable:
-        reg.counter("ilp.setpart.warmstart_hits").inc()
-        reg.counter("ilp.setpart.prunes_from_incumbent").inc(sol.warm_pruned)
     if not sol.optimal:
         reg.counter("ilp.setpart.budget_exhausted").inc()
     reg.histogram("ilp.setpart.nodes", obs.COUNT_BUCKETS).observe(

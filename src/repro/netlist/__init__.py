@@ -10,7 +10,6 @@ from repro.netlist.db import Cell, Net, Pin, Port
 from repro.netlist.design import Design
 from repro.netlist.registers import RegisterBit, RegisterView
 from repro.netlist.edit import ComposeError, compose_mbr
-from repro.netlist.validate import ValidationIssue, validate_design
 
 __all__ = [
     "Cell",
@@ -24,6 +23,4 @@ __all__ = [
     "RegisterView",
     "ComposeError",
     "compose_mbr",
-    "ValidationIssue",
-    "validate_design",
 ]

@@ -40,7 +40,7 @@ MANIFEST_REQUIRED_KEYS = (
 
 #: Top-level keys of the ``BENCH_flow.json`` trajectory file.  ``/2``
 #: adds ``git_sha`` (which commit produced the numbers) and the
-#: per-design ``eco`` block (the warm-started recompose demo).
+#: per-design ``eco`` block (the incremental-recompose demo).
 BENCH_REQUIRED_KEYS = ("schema", "generated_unix", "git_sha", "scale", "designs")
 
 #: Keys every per-design entry of a bench file must carry.
@@ -66,7 +66,6 @@ BENCH_HISTORY_DESIGN_KEYS = (
     "compose_seconds",
     "registers_after",
     "tns",
-    "warmstart_hits",
 )
 
 #: Keys of one ``benchmarks/mem_budget.py`` history line — the memory

@@ -13,7 +13,7 @@ point against a robust rolling baseline:
   the microsecond still gets a sane relative band, and a noisy one is
   judged against its own scatter;
 * direction-aware: ``lower_better`` (runtimes, bytes), ``higher_better``
-  (warm-start hits), or ``ignore``.
+  (TNS, throughput, hit ratios), or ``ignore``.
 
 Policy lives in a checked-in ``bench_policy.json`` (schema
 ``repro.bench.policy/1``): a ``defaults`` block plus per-metric
@@ -54,7 +54,6 @@ FLOW_SERIES_KEYS = (
     "compose_seconds",
     "registers_after",
     "tns",
-    "warmstart_hits",
 )
 
 #: Mem-history metrics that become per-size series (``mem.<n>.<k>``).

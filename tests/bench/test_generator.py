@@ -7,7 +7,6 @@ from repro.bench.generator import _snap_to_grid
 from repro.check.invariants import check_design
 from repro.geometry import Point, Rect
 from repro.netlist import Design
-from repro.netlist.validate import validate_design
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +19,7 @@ class TestGeneratedDesign:
         assert bundle.design.total_register_count() == bundle.spec.n_registers
 
     def test_structurally_valid(self, bundle):
-        assert not [i for i in validate_design(bundle.design) if i.is_error]
+        assert not check_design(bundle.design)
 
     def test_deterministic(self, lib):
         a = generate_design(preset("D2", scale=0.1), lib)

@@ -13,6 +13,7 @@ property suite (``tests/check/test_properties.py``):
 from __future__ import annotations
 
 import os
+import sys
 
 import pytest
 
@@ -135,3 +136,38 @@ def flop_row(lib) -> Design:
 @pytest.fixture
 def scan_row(lib) -> Design:
     return make_flop_row(lib, func_class=DFF_R_S, name="scan_row")
+
+
+def hide_scipy(monkeypatch) -> None:
+    """Make every ``import scipy...`` fail for the rest of the test.
+
+    Every loaded scipy module is hidden, not just the package: a cached
+    ``scipy.optimize`` would still import with only ``scipy`` hidden.
+    """
+    for name in [n for n in sys.modules if n.split(".")[0] == "scipy"]:
+        monkeypatch.setitem(sys.modules, name, None)
+    monkeypatch.setitem(sys.modules, "scipy", None)
+
+
+def compose_recording_specs(design: Design, timer, **kwargs):
+    """Compose ``design`` and return ``(result, [(spec, result), ...])``.
+
+    The list holds every :class:`~repro.core.subproblem.SubproblemSpec`
+    the solve stage built, with the result the exact solver returned for
+    it, so a test can re-solve each one with a reference solver.
+    """
+    from unittest import mock
+
+    import repro.core.composer as composer
+
+    solved = []
+    real = composer.solve_subproblems
+
+    def recording(specs, workers=1):
+        results = real(specs, workers=workers)
+        solved.extend(zip(specs, results))
+        return results
+
+    with mock.patch.object(composer, "solve_subproblems", recording):
+        result = composer.compose_design(design, timer, **kwargs)
+    return result, solved

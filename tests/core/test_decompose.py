@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.check import check_design
 from repro.core.decompose import DecomposeError, decompose_mbr, decompose_registers
 from repro.geometry import Point
 from repro.library.functional import DFF_R, DFF_R_S, ScanStyle
 from repro.netlist import compose_mbr
-from repro.netlist.validate import validate_design
 from repro.scan import ScanChain, ScanModel
 from repro.sta import Timer
 
@@ -14,7 +14,7 @@ from tests.conftest import make_flop_row
 
 
 def _errors(design):
-    return [i for i in validate_design(design) if i.is_error]
+    return check_design(design)
 
 
 @pytest.fixture

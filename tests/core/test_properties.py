@@ -3,20 +3,20 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.composer import ComposerConfig, compose_design
-from repro.ilp import scipy_available
+from repro.check import check_design
+from repro.core.composer import compose_design
+from repro.ilp import scipy_available, solve_set_partition_scipy
 from repro.geometry import Point, Rect
 from repro.library import default_library
-from repro.netlist.validate import validate_design
 from repro.sta import Timer
 
-from tests.conftest import make_flop_row
+from tests.conftest import compose_recording_specs, make_flop_row
 
 LIB = default_library()
 
 
 def _errors(design):
-    return [i for i in validate_design(design) if i.is_error]
+    return check_design(design)
 
 
 class TestCompositionInvariants:
@@ -65,12 +65,14 @@ class TestCompositionInvariants:
     @settings(max_examples=6, deadline=None)
     @given(n=st.integers(4, 10))
     @pytest.mark.skipif(not scipy_available(), reason="SciPy not installed")
-    def test_solver_backends_agree_on_count(self, n):
-        d1 = make_flop_row(LIB, n_flops=n, spacing=2.0, die=Rect(0, 0, 150, 100), name="s1")
-        d2 = make_flop_row(LIB, n_flops=n, spacing=2.0, die=Rect(0, 0, 150, 100), name="s2")
-        r1 = compose_design(d1, Timer(d1, 10.0), config=ComposerConfig(solver="exact"))
-        r2 = compose_design(d2, Timer(d2, 10.0), config=ComposerConfig(solver="scipy"))
-        assert r1.registers_after == r2.registers_after
+    def test_solver_backends_agree_on_objective(self, n):
+        # Every ILP the composer solved has HiGHS's optimum.
+        d = make_flop_row(LIB, n_flops=n, spacing=2.0, die=Rect(0, 0, 150, 100), name="s1")
+        _, solved = compose_recording_specs(d, Timer(d, 10.0))
+        assert solved
+        for spec, res in solved:
+            ref = solve_set_partition_scipy(spec.to_problem())
+            assert ref.objective == pytest.approx(res.objective, abs=1e-9)
 
 
 class TestTimerInvariants:

@@ -11,8 +11,10 @@ from repro.core.subproblem import (
     solve_subproblem,
     solve_subproblems,
 )
-from repro.ilp.scipy_backend import scipy_available
+from repro.ilp.scipy_backend import scipy_available, solve_set_partition_scipy
 from repro.ilp.setpart import SetPartitionSolution
+
+from tests.conftest import hide_scipy
 
 needs_scipy = pytest.mark.skipif(not scipy_available(), reason="SciPy not installed")
 
@@ -23,7 +25,7 @@ class FakeCandidate:
         self.weight = weight
 
 
-def _spec(index=0, solver="exact"):
+def _spec(index=0):
     # Elements a,b,c; candidates: singletons (weight 1) and {a,b} cheap pair.
     cands = [
         FakeCandidate(("a",), 1.0),
@@ -31,7 +33,7 @@ def _spec(index=0, solver="exact"):
         FakeCandidate(("c",), 1.0),
         FakeCandidate(("a", "b"), 0.5),
     ]
-    return make_spec(index, ["a", "b", "c"], cands, solver)
+    return make_spec(index, ["a", "b", "c"], cands)
 
 
 class TestSpec:
@@ -63,57 +65,30 @@ class TestSolve:
 
     @needs_scipy
     def test_scipy_matches_exact_objective(self):
-        exact = solve_subproblem(_spec(solver="exact"))
-        hi = solve_subproblem(_spec(solver="scipy"))
+        spec = _spec()
+        exact = solve_subproblem(spec)
+        hi = solve_set_partition_scipy(spec.to_problem())
         assert hi.objective == pytest.approx(exact.objective)
-        assert hi.nodes_explored == 0
-
-    def test_unknown_solver_rejected(self):
-        with pytest.raises(ValueError):
-            solve_subproblem(_spec(solver="magic"))
 
     def test_result_index_preserved(self):
         assert solve_subproblem(_spec(index=7)).index == 7
 
 
 class TestScipyOptionality:
-    """solver='exact' must run (and the fallback stay gated) without SciPy."""
-
-    def test_scipy_solver_raises_cleanly_when_unavailable(self, monkeypatch):
-        import repro.ilp.scipy_backend as backend
-
-        monkeypatch.setattr(backend, "scipy_available", lambda: False)
-        with pytest.raises(RuntimeError, match="SciPy"):
-            solve_subproblem(_spec(solver="scipy"))
+    """A spent node budget keeps the incumbent; SciPy plays no part."""
 
     def test_exact_keeps_incumbent_when_scipy_missing(self, monkeypatch):
-        import repro.ilp.scipy_backend as backend
-
         incumbent = SetPartitionSolution(
             chosen=[0, 1, 2], objective=3.0, feasible=True, nodes_explored=9,
             optimal=False,
         )
-        monkeypatch.setattr(
-            subproblem, "solve_set_partition", lambda p, warm=None: incumbent
-        )
-        monkeypatch.setattr(backend, "scipy_available", lambda: False)
+        monkeypatch.setattr(subproblem, "solve_set_partition", lambda p: incumbent)
+        hide_scipy(monkeypatch)
         res = solve_subproblem(_spec())
         assert res.chosen == (0, 1, 2)
         assert res.objective == pytest.approx(3.0)
+        assert res.nodes_explored == 9
         assert not res.optimal
-
-    @needs_scipy
-    def test_exact_uses_scipy_fallback_when_available(self, monkeypatch):
-        incumbent = SetPartitionSolution(
-            chosen=[0, 1, 2], objective=3.0, feasible=True, nodes_explored=9,
-            optimal=False,
-        )
-        monkeypatch.setattr(
-            subproblem, "solve_set_partition", lambda p, warm=None: incumbent
-        )
-        res = solve_subproblem(_spec())
-        # HiGHS finishes the job: the true optimum (c + {a,b}) wins.
-        assert res.objective == pytest.approx(1.5)
 
 
 class TestFanOut:

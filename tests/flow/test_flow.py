@@ -3,9 +3,9 @@
 import pytest
 
 from repro.bench import generate_design, preset
+from repro.check import check_design
 from repro.flow import FlowConfig, run_flow
 from repro.metrics import collect_metrics, compare_metrics
-from repro.netlist.validate import validate_design
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +51,7 @@ class TestFlowQoR:
 
     def test_netlist_valid_after_flow(self, report):
         b, _, _ = report
-        assert not [i for i in validate_design(b.design) if i.is_error]
+        assert not check_design(b.design)
 
     def test_width_histogram_shifts_up(self, report):
         _, rep, _ = report

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench import generate_design, preset
+from repro.check import check_design
 from repro.io import (
     read_def,
     read_liberty,
@@ -13,7 +14,6 @@ from repro.io import (
 )
 from repro.library import default_library
 from repro.library.cells import RegisterCell
-from repro.netlist.validate import validate_design
 from repro.placement import design_hpwl
 from repro.sta import Timer
 
@@ -87,7 +87,7 @@ class TestNetlistRoundtrip:
             assert twin.origin.x == pytest.approx(cell.origin.x, abs=1e-3)
             assert twin.origin.y == pytest.approx(cell.origin.y, abs=1e-3)
             assert twin.fixed == cell.fixed
-        assert not [i for i in validate_design(back) if i.is_error]
+        assert not check_design(back)
 
     def test_connectivity_preserved(self, lib, bundle, tmp_path):
         design = bundle.design
@@ -154,4 +154,4 @@ class TestNetlistRoundtrip:
         scan_model = ScanModel.from_design(back)
         res = compose_design(back, timer, scan_model)
         assert res.registers_after <= res.registers_before
-        assert not [i for i in validate_design(back) if i.is_error]
+        assert not check_design(back)

@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.check import check_design
 from repro.geometry import Point, Rect
 from repro.library.cells import PinDirection
 from repro.library.functional import DFF_R
 from repro.netlist import Design, RegisterView
-from repro.netlist.validate import validate_design
 
 
 class TestDesignBasics:
@@ -170,10 +170,15 @@ class TestRegisterView:
         assert v0.scan_out_net() is v1.scan_in_net()
 
 
+def _checks(design) -> set[str]:
+    """Check ids of every error ``check_design`` reports."""
+    return {v.check for v in check_design(design) if v.is_error}
+
+
 class TestValidation:
     def test_clean_fixture_designs(self, flop_row, scan_row):
-        assert not [i for i in validate_design(flop_row) if i.is_error]
-        assert not [i for i in validate_design(scan_row) if i.is_error]
+        assert not check_design(flop_row)
+        assert not check_design(scan_row)
 
     def test_multiple_drivers_flagged(self, lib):
         d = Design("t", lib, Rect(0, 0, 20, 20))
@@ -182,26 +187,22 @@ class TestValidation:
         n = d.add_net("n")
         d.connect(a.pin("Z"), n)
         d.connect(b.pin("Z"), n)
-        issues = validate_design(d)
-        assert any("multiply driven" in i.message for i in issues if i.is_error)
+        assert "net-multi-driver" in _checks(d)
 
     def test_driverless_net_flagged(self, lib):
         d = Design("t", lib, Rect(0, 0, 20, 20))
         a = d.add_cell("a", "INV_X1", Point(0, 0))
         n = d.add_net("n")
         d.connect(a.pin("A"), n)
-        issues = validate_design(d)
-        assert any("no driver" in i.message for i in issues if i.is_error)
+        assert "net-undriven-sinks" in _checks(d)
 
     def test_unconnected_register_clock_flagged(self, lib):
         d = Design("t", lib, Rect(0, 0, 20, 20))
         ff = lib.register_cells(DFF_R, 1)[0]
         d.add_cell("ff", ff, Point(1, 1))
-        issues = validate_design(d)
-        assert any("clock pin unconnected" in i.message for i in issues if i.is_error)
+        assert "register-clock-unconnected" in _checks(d)
 
     def test_cell_outside_die_flagged(self, lib):
         d = Design("t", lib, Rect(0, 0, 5, 5))
         d.add_cell("c", "BUF_X1", Point(4.9, 0))
-        issues = validate_design(d)
-        assert any("outside the die" in i.message for i in issues if i.is_error)
+        assert "cell-outside-die" in _checks(d)

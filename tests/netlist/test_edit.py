@@ -2,18 +2,18 @@
 
 import pytest
 
+from repro.check import check_design
 from repro.geometry import Point, Rect
 from repro.library.functional import DFF_R, DFF_R_S
 from repro.library.functional import ScanStyle
 from repro.netlist import ComposeError, RegisterView, compose_mbr
 from repro.netlist.store import NetlistStore
-from repro.netlist.validate import validate_design
 
 from tests.conftest import make_flop_row
 
 
 def _errors(design):
-    return [i for i in validate_design(design) if i.is_error]
+    return check_design(design)
 
 
 class TestComposeBasic:

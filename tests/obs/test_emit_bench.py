@@ -30,7 +30,6 @@ def _valid_payload() -> dict:
             "prime_seconds": 0.5,
             "recompose_seconds": 0.1,
             "incremental": True,
-            "warmstart_hits": 4,
         },
         "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
     }
@@ -106,7 +105,8 @@ class TestValidateHistoryCli:
         assert record["schema"] == BENCH_HISTORY_SCHEMA
         assert record["git_sha"] == "0123456789ab"
         assert record["designs"]["D1"]["compose_seconds"] == 2.0
-        assert record["designs"]["D1"]["warmstart_hits"] == 4
+        assert record["designs"]["D1"]["tns"] == -0.8
+        assert "warmstart_hits" not in record["designs"]["D1"]
 
     def test_valid_history_exits_zero(self, tmp_path, capsys):
         path = self._write(tmp_path, [self._record(), self._record()])

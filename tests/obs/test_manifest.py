@@ -136,7 +136,7 @@ class TestValidateBench:
             "register_reduction": 0.4,
             "wns": -0.1,
             "tns": -1.0,
-            "eco": {"warmstart_hits": 3, "recompose_seconds": 0.1},
+            "eco": {"prime_seconds": 0.4, "recompose_seconds": 0.1},
             "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
         }
 
@@ -214,7 +214,6 @@ class TestValidateBenchHistory:
                     "compose_seconds": 0.4,
                     "registers_after": 97,
                     "tns": -4.7,
-                    "warmstart_hits": 5,
                 }
             },
         }
@@ -235,9 +234,9 @@ class TestValidateBenchHistory:
 
     def test_non_numeric_design_values_rejected(self):
         record = self._record()
-        record["designs"]["D1"]["warmstart_hits"] = "many"
+        record["designs"]["D1"]["tns"] = "bad"
         errors = validate_bench_history(record)
-        assert any("'warmstart_hits'" in e and "number" in e for e in errors)
+        assert any("'tns'" in e and "number" in e for e in errors)
 
     def test_missing_design_summary_key_rejected(self):
         record = self._record()

@@ -41,7 +41,6 @@ def _payload(compose: float, sha: str = "abc123abc123") -> dict:
                     "prime_seconds": 0.5,
                     "recompose_seconds": 0.1,
                     "incremental": True,
-                    "warmstart_hits": 4,
                 },
                 "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
             }

@@ -40,7 +40,6 @@ def flow_line(compose=1.0, sha="aaaaaaaaaaaa", when=1000.0, design="D1"):
                 "compose_seconds": compose,
                 "registers_after": 500,
                 "tns": -1.5,
-                "warmstart_hits": 10,
             }
         },
     }
@@ -147,7 +146,7 @@ class TestLoadPolicy:
         assert os.path.abspath(path) == os.path.join(REPO_ROOT, "bench_policy.json")
         policy = load_policy(path)
         # The repo policy flips direction for throughput-style metrics.
-        assert policy.for_metric("flow.D1.warmstart_hits").direction == "higher_better"
+        assert policy.for_metric("flow.D1.tns").direction == "higher_better"
         assert policy.for_metric("flow.D1.compose_seconds").direction == "lower_better"
         assert "max_regress" in policy.perf_smoke
 
@@ -179,10 +178,14 @@ class TestLoadHistory:
 class TestSeries:
     def test_flow_lines_fan_out_per_design(self):
         records = [flow_line(compose=1.0), flow_line(compose=1.1, design="D2")]
+        # Older committed lines still carry the retired warm-start count;
+        # it validates but no longer becomes a series.
+        records[0]["designs"]["D1"]["warmstart_hits"] = 8
         series = series_from_history(records)
         assert [p.value for p in series["flow.D1.compose_seconds"]] == [1.0]
         assert [p.value for p in series["flow.D2.compose_seconds"]] == [1.1]
-        assert "flow.D1.tns" in series and "flow.D1.warmstart_hits" in series
+        assert "flow.D1.tns" in series and "flow.D1.registers_after" in series
+        assert not any(name.endswith(".warmstart_hits") for name in series)
 
     def test_mem_lines_fan_out_per_size(self):
         records = [mem_line(n=100000), mem_line(n=1000000)]

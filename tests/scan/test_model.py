@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.check import check_design
 from repro.geometry import Point
 from repro.library.functional import DFF_R_S, ScanStyle
 from repro.netlist import compose_mbr
-from repro.netlist.validate import validate_design
 from repro.scan import ScanChain, ScanModel
 
 
@@ -149,7 +149,7 @@ class TestRestitch:
         # Chain must now be connected: mbr0.SO -> ff1.SI, ff1.SO -> ff3.SI.
         assert mbr.pin("SO").net is scan_row.cell("ff1").pin("SI").net
         assert scan_row.cell("ff1").pin("SO").net is scan_row.cell("ff3").pin("SI").net
-        errors = [i for i in validate_design(scan_row) if i.is_error]
+        errors = check_design(scan_row)
         assert not errors
 
     def test_restitch_idempotent(self, lib, scan_row):

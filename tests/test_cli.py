@@ -203,7 +203,6 @@ def _history_line(compose=1.0, sha="aaaaaaaaaaaa", when=1000.0):
                 "compose_seconds": compose,
                 "registers_after": 500,
                 "tns": -1.5,
-                "warmstart_hits": 10,
             }
         },
     }
