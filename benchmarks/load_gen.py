@@ -14,16 +14,17 @@ workload twice:
 
 Per-design ``placement_signature``/``timing_signature`` must be
 bit-identical between the two runs (the paper's determinism contract,
-extended to the service layer); the measured run's throughput, p50/p99
-latency, and cross-request component cache hit-ratio are appended to
-``BENCH_history.jsonl`` under the ``repro.bench.serve/1`` schema and
-judged by the regression sentinel (``--check``).
+extended to the service layer).  The script prints the measured run's
+throughput and p50/p99 latency, and the serial run's cross-request
+component cache hit-ratio, which ``--check`` holds above a floor.  It
+keeps no history; the benchmark trajectory is perfbench's (``repro bench
+record``).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/load_gen.py --preset D1 --replicas 2 \\
         --clients 4 --jobs 6 --scale 0.25 --seed 7
-    PYTHONPATH=src python benchmarks/load_gen.py --check --no-history \\
+    PYTHONPATH=src python benchmarks/load_gen.py --check \\
         --manifest-out serve_manifest.json   # the CI serve-smoke shape
 """
 
@@ -31,27 +32,19 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
-import os
 import statistics
 import sys
 import time
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-
-from emit_bench import git_dirty, git_sha  # noqa: E402
-
-from repro import obs  # noqa: E402
-from repro.check.oracles import placement_signature, timing_signature  # noqa: E402
-from repro.serve import (  # noqa: E402
+from repro import obs
+from repro.check.oracles import placement_signature, timing_signature
+from repro.serve import (
     ComposeServer,
     DesignRegistry,
     JobRequest,
     SharedComponentCache,
     drive,
 )
-
-_REPO_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def build_jobs(names: list[str], jobs_per_design: int, seed: int) -> list[JobRequest]:
@@ -152,81 +145,6 @@ def run_once(args, clients: int) -> dict:
     }
 
 
-def serve_record(args, serial: dict, concurrent: dict, deterministic: bool) -> dict:
-    """The ``repro.bench.serve/1`` history line.
-
-    Throughput and latency come from the measured concurrent run; the
-    gated ``cache_hit_ratio`` comes from the *serial* run — sequential
-    submission makes the reuse pattern deterministic (every sibling
-    design's components are published before the next request looks),
-    so the trajectory is stable enough for the sentinel's immediate
-    ``higher_better`` gate.  The concurrent run's racy reuse rides
-    along informationally as ``concurrent_hit_ratio``/``shared_hits``.
-    """
-    workload = f"{args.preset}x{args.replicas}c{args.clients}j{args.jobs}"
-    return {
-        "schema": obs.BENCH_SERVE_SCHEMA,
-        "generated_unix": round(time.time(), 3),
-        "git_sha": git_sha(),
-        "git_dirty": git_dirty(),
-        "workload": workload,
-        "preset": args.preset,
-        "scale": args.scale,
-        "designs": args.replicas,
-        "clients": args.clients,
-        "jobs": concurrent["jobs"],
-        "throughput_jobs_per_s": round(concurrent["throughput_jobs_per_s"], 3),
-        "p50_ms": round(concurrent["p50_ms"], 3),
-        "p99_ms": round(concurrent["p99_ms"], 3),
-        "cache_hit_ratio": round(serial["cache_hit_ratio"], 4),
-        "concurrent_hit_ratio": round(concurrent["cache_hit_ratio"], 4),
-        "shared_hits": concurrent["shared_hits"],
-        "deterministic": deterministic,
-    }
-
-
-def append_history(record: dict, path: str, force: bool = False) -> None:
-    """Append the serve line; same stale-SHA discipline as emit_bench."""
-    problems = obs.validate_bench_serve(record)
-    if problems:  # pragma: no cover - the record satisfies its own schema
-        raise SystemExit("invalid serve record: " + "; ".join(problems))
-    head = git_sha()
-    if not force and head != "unknown" and record["git_sha"] != head:
-        raise SystemExit(
-            f"refusing to append stale history line: payload git_sha "
-            f"{record['git_sha']!r} != current HEAD {head!r} "
-            f"(re-run at HEAD, or pass --force to append anyway)"
-        )
-    with open(path, "a", encoding="utf-8") as fh:
-        json.dump(record, fh, separators=(",", ":"), sort_keys=True)
-        fh.write("\n")
-
-
-def sentinel_check(record: dict, history_path: str, appended: bool) -> int:
-    """Judge the serve trajectories (committed history + this record)."""
-    from repro.obs import sentinel
-
-    policy_path = sentinel.default_policy_path()
-    policy = (
-        sentinel.load_policy(policy_path)
-        if os.path.exists(policy_path)
-        else sentinel.Policy()
-    )
-    records: list[dict] = []
-    if os.path.exists(history_path):
-        records = sentinel.load_history(history_path)
-    if not appended:
-        records.append(record)
-    report = sentinel.evaluate_history(records, policy)
-    serve_rows = [v for v in report.verdicts if v.name.startswith("serve.")]
-    for v in serve_rows:
-        print(f"  {v.name}: {v.status} (latest {v.latest:g})")
-    if not report.ok:
-        print(report.format())
-        return 1
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument(
@@ -247,24 +165,18 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--spill-dir", dest="spill_dir")
     ap.add_argument(
-        "--history",
-        default=os.path.join(_REPO_DIR, "BENCH_history.jsonl"),
-        help="history log to append the repro.bench.serve/1 line to",
-    )
-    ap.add_argument("--no-history", action="store_true")
-    ap.add_argument("--force", action="store_true")
-    ap.add_argument(
         "--check",
         action="store_true",
-        help="gate: sentinel verdict on the serve trajectories plus the "
-        "minimum cache hit-ratio; nonzero exit on failure",
+        help="gate: nonzero exit when the serial cache hit-ratio falls below "
+        "--min-hit-ratio",
     )
     ap.add_argument(
         "--min-hit-ratio",
         dest="min_hit_ratio",
         type=float,
-        default=0.5,
-        help="--check fails below this cross-request cache hit-ratio",
+        default=0.62,
+        help="--check fails below this serial cross-request cache hit-ratio "
+        "(0.7258 in the CI shape, less 15%%)",
     )
     ap.add_argument(
         "--manifest-out", dest="manifest_out", help="write the run manifest here"
@@ -309,13 +221,6 @@ def main(argv: list[str] | None = None) -> int:
         ]
         print(f"determinism: DIVERGED on {diverged}", file=sys.stderr)
 
-    record = serve_record(args, serial, concurrent, deterministic)
-    appended = False
-    if not args.no_history:
-        append_history(record, args.history, force=args.force)
-        print(f"appended {args.history} (workload {record['workload']})")
-        appended = True
-
     if args.manifest_out:
         obs.write_manifest(args.manifest_out, concurrent["manifest"])
         print(f"wrote run manifest: {args.manifest_out}")
@@ -330,9 +235,6 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 1
-        rc = sentinel_check(record, args.history, appended)
-        if rc:
-            return rc
         print("check: OK")
     return 0
 

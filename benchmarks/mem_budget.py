@@ -18,17 +18,17 @@ gate enforces.
 third subprocess, marks everything outside a die-corner window
 ``dont_touch``, and runs a real :func:`~repro.core.composer.compose_design`
 over the window — the scale-smoke proof that a parsed million-register
-store drives the actual flow, not just counts.  (STA over the whole design
-is dict-based and deliberately not budget-gated.)
+store drives the actual flow, not just counts.  The compose child, which
+also holds the whole design's timing graph, is not budget-gated.
 
-Results append to ``BENCH_history.jsonl`` as ``repro.bench.mem/1`` records
-(see :mod:`repro.obs.manifest`), next to the flow trajectory lines.
+The script prints its measurement and keeps no history; the benchmark
+trajectory is perfbench's (``repro bench record``).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/mem_budget.py --registers 100000 --enforce
     PYTHONPATH=src python benchmarks/mem_budget.py --registers 100000 \\
-        --window-compose --no-history
+        --enforce --window-compose
 """
 
 from __future__ import annotations
@@ -45,9 +45,6 @@ import time
 
 _REPO_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(_REPO_DIR, "src"))
-
-from repro import obs  # noqa: E402
-from repro.obs.manifest import BENCH_MEM_SCHEMA  # noqa: E402
 
 #: Default ceiling on marginal peak RSS, bytes per register.  The slotted
 #: store's columns plus name tables plus the parse-time dicts come to
@@ -181,43 +178,13 @@ def _run_child(argv: list[str]) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def git_sha() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short=12", "HEAD"],
-            capture_output=True,
-            text=True,
-            cwd=_REPO_DIR,
-            timeout=10,
-        )
-    except OSError:  # pragma: no cover - no git binary
-        return "unknown"
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else "unknown"
-
-
-def git_dirty() -> bool:
-    """Whether the working tree differs from HEAD (``False`` outside git)."""
-    try:
-        out = subprocess.run(
-            ["git", "status", "--porcelain"],
-            capture_output=True,
-            text=True,
-            cwd=_REPO_DIR,
-            timeout=10,
-        )
-    except OSError:  # pragma: no cover - no git binary
-        return False
-    return out.returncode == 0 and bool(out.stdout.strip())
-
-
 def run_benchmark(
     n_registers: int,
     baseline_registers: int,
     budget: int,
     window_compose: bool,
 ) -> dict:
-    """The full parent-side benchmark; returns the history record."""
+    """The full parent-side benchmark; returns the measurement."""
     with tempfile.TemporaryDirectory(prefix="mem_budget_base_") as base_dir:
         base = _run_child(["--child", "measure", str(baseline_registers), base_dir])
     with tempfile.TemporaryDirectory(prefix="mem_budget_") as full_dir:
@@ -230,10 +197,6 @@ def run_benchmark(
         n_registers - baseline_registers
     )
     record = {
-        "schema": BENCH_MEM_SCHEMA,
-        "generated_unix": round(time.time(), 3),
-        "git_sha": git_sha(),
-        "git_dirty": git_dirty(),
         "n_registers": n_registers,
         "baseline_registers": baseline_registers,
         "peak_rss_bytes": full["peak_rss_bytes"],
@@ -277,8 +240,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="also stream-parse the written design and compose one window",
     )
-    ap.add_argument("--history", default="BENCH_history.jsonl")
-    ap.add_argument("--no-history", action="store_true")
     args = ap.parse_args(argv)
 
     baseline = args.baseline_registers or max(1000, args.registers // 5)
@@ -286,9 +247,6 @@ def main(argv: list[str] | None = None) -> int:
         raise SystemExit("--baseline-registers must be smaller than --registers")
 
     record = run_benchmark(args.registers, baseline, args.budget, args.window_compose)
-    problems = obs.validate_bench_mem(record)
-    if problems:  # pragma: no cover - the record satisfies its own schema
-        raise SystemExit("invalid mem record: " + "; ".join(problems))
 
     print(
         f"{record['n_registers']} registers: peak {record['peak_rss_bytes'] / 1e6:.0f} MB"
@@ -305,12 +263,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{wc['registers_before']} -> {wc['registers_after']} total, "
             f"parse {wc['parse_seconds']:.1f}s + compose {wc['compose_seconds']:.1f}s"
         )
-
-    if not args.no_history:
-        with open(os.path.join(_REPO_DIR, args.history), "a", encoding="utf-8") as fh:
-            json.dump(record, fh, separators=(",", ":"), sort_keys=True)
-            fh.write("\n")
-        print(f"appended {args.history}")
 
     if args.enforce and record["marginal_bytes_per_register"] > args.budget:
         print(

@@ -413,41 +413,51 @@ def _snap_to_grid(design: Design, library: CellLibrary) -> None:
     banked register mix the generator's raw placement is already
     row-structured, so snapping is enough for scale benchmarking — overlap
     repair stays an explicitly incremental operation in the compose flow.
+    The snap sets the generator's peak memory at scale, so it keeps few
+    full-length arrays alive at once: ``cell_x`` is written before any y
+    array is built, and heights are looked up only near the top edge.
     """
     rows = PlacementRows(
         design.die, library.technology.row_height, library.technology.site_width
     )
+    core = rows.core
     store = design.store
     live = np.fromiter(
         store.cell_ids.values(), dtype=np.int64, count=len(store.cell_ids)
     )
     if not len(live):
         return
-    site = np.round((store.cell_x[live] - rows.core.xlo) / rows.site_width)
+    lib = store.cell_lib[live]
+    site = np.round((store.cell_x[live] - core.xlo) / rows.site_width)
     # The rightmost legal site depends on the cell's width: rounding the
     # origin up must not push the far edge past the die boundary.
     widths = np.array(
         [rec.libcell.width for rec in store.libs], dtype=np.float64
-    )[store.cell_lib[live]]
-    max_site = np.floor(
-        (rows.core.xhi - rows.core.xlo - widths) / rows.site_width + 1e-9
-    )
+    )[lib]
+    max_site = np.floor((core.xhi - core.xlo - widths) / rows.site_width + 1e-9)
     np.clip(site, 0, np.maximum(max_site, 0), out=site)
-    x = rows.core.xlo + site * rows.site_width
-    row = np.round((store.cell_y[live] - rows.core.ylo) / rows.row_height)
-    np.clip(row, 0, max(rows.num_rows - 1, 0), out=row)
-    y = rows.core.ylo + row * rows.row_height
+    del max_site
+    x = site  # xlo + site * site_width, in place
+    x *= rows.site_width
+    x += core.xlo
     # ``xlo + site * site_width`` can round up past the last origin that
     # keeps the footprint on the die (0.2 * 1672 + 2.0 > 336.4); pull
     # those few origins, and any top-row y likewise, back to it.
-    heights = np.array(
-        [rec.libcell.height for rec in store.libs], dtype=np.float64
-    )[store.cell_lib[live]]
-    for k in np.flatnonzero(x + widths > rows.core.xhi).tolist():
-        x[k] = last_origin(rows.core.xhi, float(widths[k]))
-    for k in np.flatnonzero(y + heights > rows.core.yhi).tolist():
-        y[k] = last_origin(rows.core.yhi, float(heights[k]))
+    for k in np.flatnonzero(x + widths > core.xhi).tolist():
+        x[k] = last_origin(core.xhi, float(widths[k]))
     store.cell_x[live] = x
+    del x, site, widths
+
+    y = np.round((store.cell_y[live] - core.ylo) / rows.row_height)
+    np.clip(y, 0, max(rows.num_rows - 1, 0), out=y)
+    y *= rows.row_height  # ylo + row * row_height, in place
+    y += core.ylo
+    heights = np.array([rec.libcell.height for rec in store.libs], dtype=np.float64)
+    # Rounding is monotonic, so only an origin that overhangs by the
+    # tallest height can overhang by its own.
+    near = np.flatnonzero(y + heights.max() > core.yhi)
+    for k in near[y[near] + heights[lib[near]] > core.yhi].tolist():
+        y[k] = last_origin(core.yhi, float(heights[lib[k]]))
     store.cell_y[live] = y
 
 

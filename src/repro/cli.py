@@ -12,6 +12,7 @@ Usage::
     python -m repro.cli report --lib repro28.lib --verilog d.v --def d.def --period 1.2
     python -m repro.cli eco --preset D1 --moves 20 [--audit]
     python -m repro.cli check --preset D1 --storms 5 --seed 7 [--replay f.json]
+    python -m repro.cli bench record [--history BENCH_history.jsonl]
     python -m repro.cli bench report [--history BENCH_history.jsonl] [--check]
     python -m repro.cli obs critical-path trace.json
     python -m repro.cli obs diff manifest_a.json manifest_b.json
@@ -47,10 +48,12 @@ invocation, or ``--stdin`` to pipe request frames.
 Performance intelligence: ``--profile out.folded`` (or
 ``REPRO_PROFILE=1``) samples the run's span stacks into a
 collapsed-stack flamegraph file; ``--progress`` (or ``REPRO_PROGRESS=1``)
-emits heartbeat progress events with ETA on stderr; ``bench report``
-judges the ``BENCH_history.jsonl`` trajectories against
-``bench_policy.json`` (``--check`` is the CI regression gate); ``obs
-critical-path`` / ``obs diff`` analyze exported traces and manifests.
+emits heartbeat progress events with ETA on stderr; ``bench record``,
+run from the repository root, appends one perfbench record per workload
+to ``BENCH_history.jsonl``, and ``bench report`` judges its trajectories
+against ``bench_policy.json`` (``--check`` is the CI regression gate);
+``obs critical-path`` / ``obs diff`` analyze exported traces and
+manifests.
 """
 
 from __future__ import annotations
@@ -409,6 +412,33 @@ def cmd_report(args) -> int:
     return 0
 
 
+def cmd_bench_record(args) -> int:
+    """Run perfbench on every workload and append one ``repro.bench.run/1``
+    line per workload to ``--history``; appends nothing unless every run
+    is correct with no failed operation."""
+    from repro.obs import sentinel
+
+    try:
+        records = sentinel.record_benchmark(os.getcwd())
+    except FileNotFoundError as exc:
+        print(f"{exc}; run bench record from the repository root", file=sys.stderr)
+        return 2
+    except sentinel.RecordError as exc:
+        print(f"bench record: {exc}", file=sys.stderr)
+        return 1
+    with open(args.history, "a", encoding="utf-8") as fh:
+        for record in records:
+            json.dump(record, fh, separators=(",", ":"), sort_keys=True)
+            fh.write("\n")
+    for record in records:
+        print(
+            f"{record['workload']}: {len(record['metrics'])} metrics, "
+            f"slowness {record['slowness']:.3f}"
+        )
+    print(f"appended {len(records)} records to {args.history}")
+    return 0
+
+
 def cmd_bench_report(args) -> int:
     """The regression sentinel: judge every ``BENCH_history.jsonl``
     trajectory against ``bench_policy.json``; ``--check`` makes any
@@ -723,6 +753,17 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="benchmark-trajectory tools (the regression sentinel)"
     )
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
+    brec = bench_sub.add_parser(
+        "record",
+        help="run perfbench on every BENCHMARK.json workload (seed 1, untraced "
+        "and traced) and append one record per workload; run from the repo root",
+    )
+    brec.add_argument(
+        "--history",
+        default="BENCH_history.jsonl",
+        help="trajectory log to append to (default: ./BENCH_history.jsonl)",
+    )
+    brec.set_defaults(func=cmd_bench_record)
     brep = bench_sub.add_parser(
         "report",
         help="judge every BENCH_history.jsonl trajectory against "

@@ -2,12 +2,10 @@
 
 Every stage execution opens a ``repro.obs`` span (category ``"stage"``)
 carrying the stage's counters as args, and is recorded into the run's
-:class:`~repro.engine.stage.StageTrace`.  The tracer is the timing
-substrate — the trace records reuse the span's clock, and
-:meth:`StageTrace.from_spans <repro.engine.stage.StageTrace.from_spans>`
-can rebuild an equivalent trace from the tracer alone — while
-``StageTrace`` remains the in-process structured view stages and reports
-consume.
+:class:`~repro.engine.stage.StageTrace`, the in-process structured view
+stages and reports consume.  The pipeline times each stage with its own
+``perf_counter`` inside the span, so a trace record's seconds and its
+span's duration are two clocks over the same call.
 """
 
 from __future__ import annotations

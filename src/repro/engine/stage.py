@@ -174,59 +174,3 @@ class StageTrace:
             lines.append(f"{'-' * 24} {'-' * 9}")
             lines.append(f"{'total':<24} {self.total_seconds:>9.4f}")
         return "\n".join(lines)
-
-    @classmethod
-    def from_spans(
-        cls, records, cat: str = "stage", prefix: str = "stage."
-    ) -> "StageTrace":
-        """Rebuild a stage trace as a *view* over tracer spans.
-
-        ``records`` is an iterable of :class:`repro.obs.SpanRecord`;
-        spans of category ``cat`` become stage records (the ``prefix`` the
-        pipeline adds to span names is stripped), nested by their span
-        parent links — so the tracer is the single source of timing truth
-        and a ``StageTrace`` can always be derived from it.  Counters are
-        recovered from numeric span args.
-        """
-        records = list(records)
-        stage_spans = [r for r in records if r.cat == cat]
-        stage_ids = {r.id for r in stage_spans}
-        parent_of = {r.id: r.parent_id for r in records}
-
-        def stage_ancestor(pid: int | None) -> int | None:
-            # Hop over intermediate non-stage spans (a compose stage runs
-            # its nested pipeline under an eco.recompose span, say) to the
-            # nearest enclosing stage span.
-            while pid is not None and pid not in stage_ids:
-                pid = parent_of.get(pid)
-            return pid
-
-        root = cls()
-        traces: dict[int, "StageTrace"] = {}
-        # Spans finish children-first; sort by start so records keep
-        # pipeline order within each nesting level, parents before children.
-        for rec in sorted(stage_spans, key=lambda r: r.start_us):
-            name = rec.name
-            if prefix and name.startswith(prefix):
-                name = name[len(prefix):]
-            counters: Counters = {
-                k: v
-                for k, v in rec.args.items()
-                if isinstance(v, (int, float)) and not isinstance(v, bool)
-            }
-            own = traces[rec.id] = cls()
-            parent = stage_ancestor(rec.parent_id)
-            target = root if parent is None else traces.get(parent, root)
-            target.record(
-                name, rec.dur_us / 1e6, counters=counters or None, children=own
-            )
-
-        def prune(trace: "StageTrace") -> None:
-            for r in trace.records:
-                if r.children is not None:
-                    prune(r.children)
-                    if not r.children.records:
-                        r.children = None
-
-        prune(root)
-        return root

@@ -11,7 +11,11 @@ One subsystem, three signals, one artifact:
 * :mod:`repro.obs.logs` — **structured run logs** over stdlib
   ``logging`` (JSON-lines via ``REPRO_LOG_JSON=1``);
 * :mod:`repro.obs.manifest` — the **run manifest**: config + metrics +
-  span roll-ups serialized to one validated JSON.
+  span roll-ups serialized to one validated JSON;
+* :mod:`repro.obs.sentinel` — the **bench record** (``repro bench
+  record``: one ``repro.bench.run/1`` line per perfbench workload) and the
+  regression sentinel that judges its trajectories (``repro bench
+  report``).
 
 Instrumentation sites call :func:`span`, :func:`get_registry`, and
 :func:`log`; runners (CLI, benchmarks, tests) install a tracer/registry
@@ -21,22 +25,9 @@ pair via :func:`install_tracer` / :func:`set_registry` and export with
 
 from repro.obs.logs import configure_logging, get_logger, log
 from repro.obs.manifest import (
-    BENCH_DESIGN_KEYS,
-    BENCH_HISTORY_DESIGN_KEYS,
-    BENCH_HISTORY_KEYS,
-    BENCH_HISTORY_SCHEMA,
-    BENCH_MEM_KEYS,
-    BENCH_MEM_SCHEMA,
-    BENCH_SERVE_SCHEMA,
-    BENCH_REQUIRED_KEYS,
-    BENCH_SCHEMA,
     MANIFEST_REQUIRED_KEYS,
     MANIFEST_SCHEMA,
     build_manifest,
-    validate_bench,
-    validate_bench_history,
-    validate_bench_mem,
-    validate_bench_serve,
     validate_manifest,
     write_manifest,
 )
@@ -74,15 +65,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "BENCH_DESIGN_KEYS",
-    "BENCH_HISTORY_DESIGN_KEYS",
-    "BENCH_HISTORY_KEYS",
-    "BENCH_HISTORY_SCHEMA",
-    "BENCH_MEM_KEYS",
-    "BENCH_MEM_SCHEMA",
-    "BENCH_SERVE_SCHEMA",
-    "BENCH_REQUIRED_KEYS",
-    "BENCH_SCHEMA",
     "COUNT_BUCKETS",
     "Counter",
     "FRACTION_BUCKETS",
@@ -115,10 +97,6 @@ __all__ = [
     "set_tracer",
     "span",
     "tracing_enabled",
-    "validate_bench",
-    "validate_bench_history",
-    "validate_bench_mem",
-    "validate_bench_serve",
     "validate_manifest",
     "write_manifest",
 ]

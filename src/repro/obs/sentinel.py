@@ -1,11 +1,14 @@
-"""The bench-trajectory regression sentinel.
+"""The bench record and its regression sentinel.
 
-``BENCH_history.jsonl`` accumulates one line per ``emit_bench.py`` run
-(schema ``repro.bench.flow``'s history summary) interleaved with
-``mem_budget.py`` lines (``repro.bench.mem/1``).  This module turns that
-log into per-metric *trajectories* — ``flow.D1.compose_seconds``,
-``mem.100000.marginal_bytes_per_register``, ... — and flags the latest
-point against a robust rolling baseline:
+``repro bench record`` runs every workload of ``BENCHMARK.json`` through
+``perfbench/run.py`` twice, each run in its own subprocess from the
+repository root: once untraced for the end-to-end metrics and once traced
+for the per-layer ones.  It appends one ``repro.bench.run/1`` line per
+workload to ``BENCH_history.jsonl`` (:func:`build_record`).  This module
+builds and validates that record, fans each line out into
+``<workload>.<metric>`` trajectories (``flow-d1d5.work_s``,
+``window-20k.compose.apply_s``, ...), and flags the latest point against a
+robust rolling baseline:
 
 * baseline = median of the previous ``window`` points;
 * noise band = ``mad_scale`` x MAD (median absolute deviation), floored
@@ -13,13 +16,17 @@ point against a robust rolling baseline:
   the microsecond still gets a sane relative band, and a noisy one is
   judged against its own scatter;
 * direction-aware: ``lower_better`` (runtimes, bytes), ``higher_better``
-  (TNS, throughput, hit ratios), or ``ignore``.
+  (TNS), or ``ignore``.
+
+perfbench rescales its end-to-end seconds (and ``check.p50_ms``) to a
+fixed interpreter speed; its other per-layer seconds are raw wall time.
+The record divides those by the traced run's ``slowness``, so per-layer
+trajectories compare across machines the way ``work_s`` does.
 
 Policy lives in a checked-in ``bench_policy.json`` (schema
 ``repro.bench.policy/1``): a ``defaults`` block plus per-metric
-overrides keyed by ``fnmatch`` patterns, and the ``perf_smoke`` block
-``benchmarks/perf_smoke.py`` reads its band from — one file owns every
-performance threshold in the repo.
+overrides keyed by ``fnmatch`` patterns over series names — one file owns
+every performance threshold in the repo.
 
 ``repro bench report`` renders the verdict table (``--json`` for the
 machine view); ``--check`` exits nonzero on any regression, which is the
@@ -30,47 +37,26 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+import time
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from statistics import median
 
-from repro.obs.manifest import (
-    BENCH_HISTORY_SCHEMA,
-    BENCH_MEM_SCHEMA,
-    BENCH_SERVE_SCHEMA,
-    validate_bench_history,
-    validate_bench_mem,
-    validate_bench_serve,
-)
-
 POLICY_SCHEMA = "repro.bench.policy/1"
+RUN_SCHEMA = "repro.bench.run/1"
+
+#: The benchmark entry script and its spec, relative to the repository root.
+PERFBENCH_SCRIPT = os.path.join("perfbench", "run.py")
+BENCHMARK_SPEC = "BENCHMARK.json"
+
+#: Every record is taken at this perfbench seed, so baselines compare like
+#: with like (eco-serve's move storm is the only seeded input).
+RECORD_SEED = 1
 
 #: Directions a metric can be judged in.
 DIRECTIONS = ("lower_better", "higher_better", "ignore")
-
-#: Flow-history metrics that become per-design series (``flow.<design>.<k>``).
-FLOW_SERIES_KEYS = (
-    "runtime_seconds",
-    "compose_seconds",
-    "registers_after",
-    "tns",
-)
-
-#: Mem-history metrics that become per-size series (``mem.<n>.<k>``).
-MEM_SERIES_KEYS = (
-    "peak_rss_bytes",
-    "bytes_per_register",
-    "marginal_bytes_per_register",
-)
-
-#: Serve-history metrics that become per-workload series
-#: (``serve.<workload>.<k>``), from ``benchmarks/load_gen.py``.
-SERVE_SERIES_KEYS = (
-    "throughput_jobs_per_s",
-    "p50_ms",
-    "p99_ms",
-    "cache_hit_ratio",
-)
 
 
 @dataclass(frozen=True)
@@ -105,7 +91,6 @@ class Policy:
 
     defaults: MetricPolicy = field(default_factory=MetricPolicy)
     patterns: tuple[tuple[str, dict], ...] = ()
-    perf_smoke: dict = field(default_factory=dict)
 
     def for_metric(self, name: str) -> MetricPolicy:
         """The effective policy for one series: defaults overlaid with
@@ -148,11 +133,7 @@ def load_policy(path: str) -> Policy:
                 f"{path}: metric {pattern!r} has unknown keys {sorted(unknown)}"
             )
         patterns.append((pattern, dict(overrides)))
-    return Policy(
-        defaults=defaults,
-        patterns=tuple(patterns),
-        perf_smoke=dict(data.get("perf_smoke", {})),
-    )
+    return Policy(defaults=defaults, patterns=tuple(patterns))
 
 
 def default_policy_path() -> str:
@@ -160,6 +141,176 @@ def default_policy_path() -> str:
     here = os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__)))))
     return os.path.join(here, "bench_policy.json")
+
+
+# -- the record ----------------------------------------------------------------
+
+
+def _git(root: str, *args: str) -> subprocess.CompletedProcess | None:
+    try:
+        return subprocess.run(
+            ["git", *args], capture_output=True, text=True, cwd=root, timeout=10
+        )
+    except OSError:  # pragma: no cover - no git binary
+        return None
+
+
+def git_sha(root: str) -> str:
+    """The checkout's commit, short form; ``"unknown"`` outside git."""
+    out = _git(root, "rev-parse", "--short=12", "HEAD")
+    sha = out.stdout.strip() if out is not None and out.returncode == 0 else ""
+    return sha or "unknown"
+
+
+def git_dirty(root: str) -> bool:
+    """Whether the working tree differs from HEAD (``False`` outside git).
+
+    A point recorded from uncommitted code cannot be reproduced from its
+    ``git_sha``, so every record carries this stamp.
+    """
+    out = _git(root, "status", "--porcelain")
+    return out is not None and out.returncode == 0 and bool(out.stdout.strip())
+
+
+class RecordError(RuntimeError):
+    """A perfbench run failed, or printed no record or result."""
+
+
+def run_perfbench(root: str, workload: str, seconds: float, trace: int) -> tuple:
+    """Run ``perfbench/run.py`` on one workload in a fresh process.
+
+    Returns the run's ``(record, result)``: the ``record {...}`` line and
+    the last-line result object.  A fresh process per run keeps each run's
+    ``peak_rss_mb`` (its ``ru_maxrss``) its own.  Raises
+    :class:`RecordError` unless the run exits 0 with ``correct: true`` and
+    no failed operation.
+    """
+    argv = [
+        sys.executable, PERFBENCH_SCRIPT, "--workload", workload,
+        "--seed", str(RECORD_SEED), "--seconds", str(seconds), "--trace", str(trace),
+    ]
+    proc = subprocess.run(argv, capture_output=True, text=True, cwd=root)
+    what = f"perfbench {workload} --trace {trace}"
+    if proc.returncode != 0:
+        raise RecordError(f"{what} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    lines = proc.stdout.strip().splitlines()
+    try:
+        record = next(
+            json.loads(ln[len("record "):]) for ln in lines if ln.startswith("record ")
+        )
+        result = json.loads(lines[-1])
+    except (StopIteration, IndexError, json.JSONDecodeError) as exc:
+        raise RecordError(f"{what}: unreadable output ({exc!r})") from None
+    if result.get("correct") is not True or result.get("failed") != 0:
+        raise RecordError(
+            f"{what}: correct={result.get('correct')} failed={result.get('failed')}"
+            f"\n{proc.stderr[-2000:]}"
+        )
+    return record, result
+
+
+def build_record(
+    workload: str, untraced: tuple, traced: tuple, sha: str, dirty: bool
+) -> dict:
+    """One ``repro.bench.run/1`` line from a workload's two perfbench runs.
+
+    ``untraced`` and ``traced`` are :func:`run_perfbench` results.  The
+    metrics map holds the untraced run's end-to-end metrics, its
+    ``qor.tns_ns`` and its ``counts``, then the traced run's per-layer
+    metrics with every seconds value divided by that run's ``slowness``.
+    ``passes`` counts the end-to-end run's passes; ``slowness`` is the
+    traced run's.
+    """
+    (plain_record, plain), (traced_record, layers) = untraced, traced
+    slowness = traced_record["slowness"]
+    metrics = {name: m["value"] for name, m in plain["metrics"].items()}
+    metrics["tns_ns"] = plain_record["qor"]["tns_ns"]
+    metrics.update(plain_record["counts"])
+    for name, m in layers["metrics"].items():
+        metrics[name] = m["value"] / slowness if m["unit"] == "s" else m["value"]
+    return {
+        "schema": RUN_SCHEMA,
+        "generated_unix": round(time.time(), 3),
+        "git_sha": sha,
+        "git_dirty": dirty,
+        "workload": workload,
+        "passes": plain_record["passes"],
+        "slowness": slowness,
+        "attempted": plain["attempted"] + layers["attempted"],
+        "failed": plain["failed"] + layers["failed"],
+        "metrics": metrics,
+    }
+
+
+def record_benchmark(root: str) -> list[dict]:
+    """Record every workload of ``root``'s ``BENCHMARK.json``.
+
+    Raises ``FileNotFoundError`` when ``perfbench/run.py`` or
+    ``BENCHMARK.json`` is missing and :class:`RecordError` on the first
+    failed run; returns one validated record per workload otherwise.
+    """
+    for name in (PERFBENCH_SCRIPT, BENCHMARK_SPEC):
+        if not os.path.isfile(os.path.join(root, name)):
+            raise FileNotFoundError(f"{name} not found under {root}")
+    with open(os.path.join(root, BENCHMARK_SPEC), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    sha, dirty = git_sha(root), git_dirty(root)
+    records = []
+    for workload in (w["name"] for w in spec["workloads"]):
+        runs = [
+            run_perfbench(root, workload, spec["run_seconds"], trace)
+            for trace in (0, 1)
+        ]
+        record = build_record(workload, *runs, sha, dirty)
+        problems = validate_record(record)
+        if problems:
+            raise RecordError(f"{workload}: invalid record: " + "; ".join(problems))
+        records.append(record)
+    return records
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: The record's fields besides ``schema`` and ``metrics``, with the check
+#: each value must pass.
+_RECORD_FIELDS = {
+    "generated_unix": ("a number", _is_number),
+    "git_sha": ("a string", lambda v: isinstance(v, str)),
+    "git_dirty": ("a boolean", lambda v: isinstance(v, bool)),
+    "workload": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
+    "passes": ("an integer", _is_int),
+    "slowness": ("a positive number", lambda v: _is_number(v) and v > 0),
+    "attempted": ("an integer", _is_int),
+    "failed": ("an integer", _is_int),
+}
+
+
+def validate_record(record) -> list[str]:
+    """Schema check of one ``repro.bench.run/1`` line (empty = valid)."""
+    if not isinstance(record, dict):
+        return [f"record must be an object, got {type(record).__name__}"]
+    if record.get("schema") != RUN_SCHEMA:
+        return [f"schema {record.get('schema')!r} is not {RUN_SCHEMA!r}"]
+    errors = []
+    for key, (kind, ok) in _RECORD_FIELDS.items():
+        if key not in record:
+            errors.append(f"missing key {key!r}")
+        elif not ok(record[key]):
+            errors.append(f"{key!r} must be {kind}, got {record[key]!r}")
+    metrics = record.get("metrics")
+    if not isinstance(metrics, dict) or not metrics:
+        errors.append("'metrics' must be a non-empty object")
+    else:
+        bad = sorted(k for k, v in metrics.items() if not _is_number(v))
+        if bad:
+            errors.append(f"non-numeric metrics {bad}")
+    return errors
 
 
 # -- history parsing ---------------------------------------------------------
@@ -192,14 +343,7 @@ def load_history(path: str) -> list[dict]:
             except json.JSONDecodeError as exc:
                 problems.append(f"line {i}: not JSON ({exc})")
                 continue
-            schema = record.get("schema") if isinstance(record, dict) else None
-            if schema == BENCH_MEM_SCHEMA:
-                validate = validate_bench_mem
-            elif schema == BENCH_SERVE_SCHEMA:
-                validate = validate_bench_serve
-            else:
-                validate = validate_bench_history
-            line_problems = validate(record)
+            line_problems = validate_record(record)
             if line_problems:
                 problems.extend(f"line {i}: {p}" for p in line_problems)
             else:
@@ -210,37 +354,15 @@ def load_history(path: str) -> list[dict]:
 
 
 def series_from_history(records: list[dict]) -> dict[str, list[Point]]:
-    """Per-metric trajectories, in log order (oldest first).
-
-    Flow lines fan out per design (``flow.D1.compose_seconds``); mem
-    lines fan out per register count (``mem.100000.bytes_per_register``)
-    so differently-sized runs never share a baseline.
-    """
+    """Per-metric trajectories ``<workload>.<metric>``, in log order
+    (oldest first)."""
     series: dict[str, list[Point]] = {}
     for record in records:
-        sha = record.get("git_sha", "unknown")
-        when = float(record.get("generated_unix", 0.0))
-        if record.get("schema") == BENCH_MEM_SCHEMA:
-            size = record.get("n_registers", 0)
-            for key in MEM_SERIES_KEYS:
-                if key in record:
-                    series.setdefault(f"mem.{size}.{key}", []).append(
-                        Point(float(record[key]), sha, when)
-                    )
-        elif record.get("schema") == BENCH_SERVE_SCHEMA:
-            workload = record.get("workload", "unknown")
-            for key in SERVE_SERIES_KEYS:
-                if key in record:
-                    series.setdefault(f"serve.{workload}.{key}", []).append(
-                        Point(float(record[key]), sha, when)
-                    )
-        elif record.get("schema") in (None, BENCH_HISTORY_SCHEMA):
-            for design, entry in record.get("designs", {}).items():
-                for key in FLOW_SERIES_KEYS:
-                    if key in entry:
-                        series.setdefault(f"flow.{design}.{key}", []).append(
-                            Point(float(entry[key]), sha, when)
-                        )
+        sha, when = record["git_sha"], float(record["generated_unix"])
+        for metric, value in record["metrics"].items():
+            series.setdefault(f"{record['workload']}.{metric}", []).append(
+                Point(float(value), sha, when)
+            )
     return series
 
 

@@ -112,6 +112,24 @@ class TestPipeline:
         assert trace.records[1].counters == {"seen": 1}
 
 
+    def test_pipeline_spans_match_its_stagetrace(self):
+        # Every stage.* span carries its stage's counters as args.
+        tracer = obs.install_tracer()
+        try:
+            pipe = Pipeline(
+                (
+                    FunctionStage("a", lambda ctx: {"n": 1}),
+                    FunctionStage("b", lambda ctx: None),
+                )
+            )
+            direct = pipe.run({})
+        finally:
+            obs.set_tracer(None)
+        spans = [r for r in tracer.records() if r.cat == "stage"]
+        assert [r.name for r in spans] == [f"stage.{r.name}" for r in direct.records]
+        assert [r.args for r in spans] == [{"n": 1}, {}]
+
+
 class TestStageTrace:
     def test_aggregated_folds_repeats_in_first_seen_order(self):
         trace = StageTrace()
@@ -251,55 +269,3 @@ class TestReuseSummary:
         trace = StageTrace()
         trace.record("a", 0.0, counters={"n": 3, "registers_reused": 1})
         assert trace.reuse_summary() == {"registers": (1, 0)}
-
-
-class TestStageTraceFromSpans:
-    """StageTrace as a view over tracer spans."""
-
-    def _spans(self):
-        tracer = obs.Tracer()
-        prev = obs.set_tracer(tracer)
-        try:
-            with tracer.span("stage.compose", cat="stage", composed=3):
-                # An intermediate non-stage span (like eco.recompose) must
-                # not break the stage nesting chain.
-                with tracer.span("eco.recompose", cat="eco"):
-                    with tracer.span("stage.solve", cat="stage", workers=2):
-                        with tracer.span("ilp.solve", cat="ilp"):
-                            pass
-            with tracer.span("stage.final", cat="stage", ok=True, frac=0.5):
-                pass
-        finally:
-            obs.set_tracer(prev)
-        return tracer.records()
-
-    def test_rebuilds_nesting_and_strips_prefix(self):
-        trace = StageTrace.from_spans(self._spans())
-        assert [r.name for r in trace.records] == ["compose", "final"]
-        compose = trace.records[0]
-        assert compose.children is not None
-        assert [r.name for r in compose.children.records] == ["solve"]
-        # solve has no *stage* children: ilp.solve is cat="ilp".
-        assert compose.children.records[0].children is None
-
-    def test_counters_from_numeric_args_exclude_bools(self):
-        trace = StageTrace.from_spans(self._spans())
-        assert trace.records[0].counters == {"composed": 3}
-        assert trace.records[0].children.records[0].counters == {"workers": 2}
-        assert trace.records[1].counters == {"frac": 0.5}
-
-    def test_pipeline_spans_match_its_stagetrace(self):
-        tracer = obs.install_tracer()
-        try:
-            pipe = Pipeline(
-                (
-                    FunctionStage("a", lambda ctx: {"n": 1}),
-                    FunctionStage("b", lambda ctx: None),
-                )
-            )
-            direct = pipe.run({})
-        finally:
-            obs.set_tracer(None)
-        view = StageTrace.from_spans(tracer.records())
-        assert [r.name for r in view.records] == [r.name for r in direct.records]
-        assert view.records[0].counters == direct.records[0].counters

@@ -1,13 +1,15 @@
-"""Unit tests for the bench-trajectory regression sentinel."""
+"""Unit tests for the bench record and its regression sentinel."""
 
 from __future__ import annotations
 
 import json
 import os
+from fnmatch import fnmatchcase
 
 import pytest
 
 from repro.obs.sentinel import (
+    RUN_SCHEMA,
     STATUS_IMPROVED,
     STATUS_INSUFFICIENT,
     STATUS_OK,
@@ -16,48 +18,43 @@ from repro.obs.sentinel import (
     MetricPolicy,
     Point,
     Policy,
+    build_record,
     default_policy_path,
     evaluate_history,
     evaluate_series,
     load_history,
     load_policy,
     series_from_history,
+    validate_record,
 )
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+COMMITTED_HISTORY = os.path.join(REPO_ROOT, "BENCH_history.jsonl")
+
+#: ``compose.enumerate_s`` and every flow-d1d5 series whose time contains it.
+ENUMERATE_AND_CONTAINERS = (
+    "compose.enumerate_s",
+    "flow.compose_s",
+    "eco.recompose_s",
+    "work_s",
+    "op_p50_ms",
+    "op_p90_ms",
+)
 
 
-def flow_line(compose=1.0, sha="aaaaaaaaaaaa", when=1000.0, design="D1"):
-    """One valid ``repro.bench.history/1`` line."""
+def run_line(workload="flow-d1d5", sha="aaaaaaaaaaaa", when=1000.0, **metrics):
+    """One valid ``repro.bench.run/1`` line."""
     return {
-        "schema": "repro.bench.history/1",
+        "schema": RUN_SCHEMA,
         "generated_unix": when,
         "git_sha": sha,
-        "scale": 1.0,
-        "designs": {
-            design: {
-                "runtime_seconds": compose * 2,
-                "compose_seconds": compose,
-                "registers_after": 500,
-                "tns": -1.5,
-            }
-        },
-    }
-
-
-def mem_line(peak=1e8, sha="bbbbbbbbbbbb", when=2000.0, n=100000):
-    """One valid ``repro.bench.mem/1`` line."""
-    return {
-        "schema": "repro.bench.mem/1",
-        "generated_unix": when,
-        "git_sha": sha,
-        "n_registers": n,
-        "baseline_registers": n // 5,
-        "peak_rss_bytes": peak,
-        "bytes_per_register": peak / n,
-        "marginal_bytes_per_register": 1200.0,
-        "budget_bytes_per_register": 1536,
-        "phase_seconds": {"generate": 1.0},
+        "git_dirty": False,
+        "workload": workload,
+        "passes": 1,
+        "slowness": 1.0,
+        "attempted": 10,
+        "failed": 0,
+        "metrics": metrics or {"work_s": 1.0, "tns_ns": -1.5, "D1.registers": 97},
     }
 
 
@@ -114,14 +111,12 @@ class TestLoadPolicy:
                     "schema": "repro.bench.policy/1",
                     "defaults": {"max_regress": 0.5},
                     "metrics": {"flow.*.tns": {"direction": "higher_better"}},
-                    "perf_smoke": {"max_regress": 0.25},
                 }
             )
         )
         policy = load_policy(str(path))
         assert policy.defaults.max_regress == 0.5
         assert policy.for_metric("flow.D1.tns").direction == "higher_better"
-        assert policy.perf_smoke == {"max_regress": 0.25}
 
     def test_rejects_unknown_defaults_key(self, tmp_path):
         path = tmp_path / "policy.json"
@@ -145,59 +140,162 @@ class TestLoadPolicy:
         path = default_policy_path()
         assert os.path.abspath(path) == os.path.join(REPO_ROOT, "bench_policy.json")
         policy = load_policy(path)
-        # The repo policy flips direction for throughput-style metrics.
-        assert policy.for_metric("flow.D1.tns").direction == "higher_better"
-        assert policy.for_metric("flow.D1.compose_seconds").direction == "lower_better"
-        assert "max_regress" in policy.perf_smoke
+        # Only the series the policy names are gated.
+        assert policy.for_metric("flow-d1d5.tns_ns").direction == "higher_better"
+        assert policy.for_metric("flow-d1d5.work_s").direction == "lower_better"
+        assert policy.for_metric("flow-d1d5.D3.registers").direction == "lower_better"
+        assert policy.for_metric("eco-serve.ilp.solves").direction == "ignore"
+        assert policy.for_metric("window-20k.bench.generate_s").direction == "ignore"
+
+    def test_every_shipped_pattern_matches_the_committed_history(self):
+        # A mistyped pattern would silently gate nothing.
+        policy = load_policy(default_policy_path())
+        names = series_from_history(load_history(COMMITTED_HISTORY))
+        unmatched = [
+            pattern
+            for pattern, _ in policy.patterns
+            if not any(fnmatchcase(name, pattern) for name in names)
+        ]
+        assert unmatched == []
 
 
 class TestLoadHistory:
-    def test_loads_mixed_schemas(self, tmp_path):
+    def test_loads_records_and_skips_blank_lines(self, tmp_path):
         path = tmp_path / "h.jsonl"
         with open(path, "w") as fh:
-            fh.write(json.dumps(flow_line()) + "\n")
+            fh.write(json.dumps(run_line()) + "\n")
             fh.write("\n")  # blank lines are fine
-            fh.write(json.dumps(mem_line()) + "\n")
+            fh.write(json.dumps(run_line(workload="eco-serve")) + "\n")
         records = load_history(str(path))
-        assert len(records) == 2
+        assert [r["workload"] for r in records] == ["flow-d1d5", "eco-serve"]
 
     def test_collects_every_problem_with_line_numbers(self, tmp_path):
         path = tmp_path / "h.jsonl"
-        bad_flow = flow_line()
-        del bad_flow["designs"]
+        bad = run_line()
+        del bad["metrics"]
         with open(path, "w") as fh:
             fh.write("not json\n")
-            fh.write(json.dumps(bad_flow) + "\n")
+            fh.write(json.dumps(bad) + "\n")
         with pytest.raises(ValueError) as exc:
             load_history(str(path))
         message = str(exc.value)
         assert "line 1: not JSON" in message
-        assert "line 2:" in message and "designs" in message
+        assert "line 2:" in message and "metrics" in message
+
+    def test_legacy_schemas_are_rejected(self, tmp_path):
+        path = tmp_path / "h.jsonl"
+        legacy = {"schema": "repro.bench.history/1", "git_sha": "x", "designs": {}}
+        path.write_text(json.dumps(legacy) + "\n")
+        with pytest.raises(ValueError, match="repro.bench.history/1"):
+            load_history(str(path))
+
+
+class TestValidateRecord:
+    def test_good_record(self):
+        assert validate_record(run_line()) == []
+
+    def test_non_object_rejected(self):
+        assert validate_record([1, 2]) != []
+
+    def test_missing_keys_reported_by_name(self):
+        record = run_line()
+        del record["git_sha"], record["slowness"]
+        errors = validate_record(record)
+        assert any("'git_sha'" in e for e in errors)
+        assert any("'slowness'" in e for e in errors)
+
+    def test_wrong_typed_values_rejected(self):
+        record = run_line()
+        record.update(git_dirty="no", passes=1.5, failed=True, slowness=0.0)
+        errors = validate_record(record)
+        for key in ("git_dirty", "passes", "failed", "slowness"):
+            assert any(f"'{key}'" in e for e in errors), key
+
+    def test_non_numeric_metrics_rejected(self):
+        errors = validate_record(run_line(work_s="1.0", ok=True, tns_ns=-1.0))
+        assert any("['ok', 'work_s']" in e for e in errors)
+
+    def test_empty_metrics_rejected(self):
+        record = run_line()
+        record["metrics"] = {}
+        assert any("'metrics'" in e for e in validate_record(record))
+
+
+def perfbench_run(metrics, slowness=2.0, passes=1, qor=None, counts=None):
+    """A ``(record, result)`` pair as :func:`run_perfbench` returns it."""
+    record = {
+        "passes": passes,
+        "slowness": slowness,
+        "qor": qor or {"tns_ns": -4.0, "regs_after": 90},
+        "counts": counts or {},
+    }
+    result = {
+        "correct": True,
+        "attempted": 5,
+        "failed": 0,
+        "metrics": {
+            name: {"value": value, "unit": unit}
+            for name, (value, unit) in metrics.items()
+        },
+    }
+    return record, result
+
+
+class TestBuildRecord:
+    def test_rescales_per_layer_seconds_only(self):
+        untraced = perfbench_run(
+            {"work_s": (6.0, "s"), "peak_rss_mb": (120.0, "MB")},
+            slowness=1.5,
+            counts={"D1.registers": 97},
+        )
+        traced = perfbench_run(
+            {
+                "compose.enumerate_s": (3.0, "s"),
+                "check.p50_ms": (40.0, "ms"),
+                "ilp.solves": (12, "count"),
+                "trace.overhead_pct": (8.0, "%"),
+            },
+            slowness=2.0,
+        )
+        record = build_record("flow-d1d5", untraced, traced, "abc", True)
+        assert validate_record(record) == []
+        assert record["slowness"] == 2.0
+        assert (record["attempted"], record["failed"]) == (10, 0)
+        assert record["metrics"] == {
+            # End-to-end metrics are already rescaled by perfbench.
+            "work_s": 6.0,
+            "peak_rss_mb": 120.0,
+            "tns_ns": -4.0,
+            "D1.registers": 97,
+            "compose.enumerate_s": 1.5,
+            "check.p50_ms": 40.0,
+            "ilp.solves": 12,
+            "trace.overhead_pct": 8.0,
+        }
 
 
 class TestSeries:
-    def test_flow_lines_fan_out_per_design(self):
-        records = [flow_line(compose=1.0), flow_line(compose=1.1, design="D2")]
-        # Older committed lines still carry the retired warm-start count;
-        # it validates but no longer becomes a series.
-        records[0]["designs"]["D1"]["warmstart_hits"] = 8
+    def test_records_fan_out_per_workload(self):
+        records = [run_line(work_s=1.0), run_line(workload="window-20k", work_s=1.1)]
         series = series_from_history(records)
-        assert [p.value for p in series["flow.D1.compose_seconds"]] == [1.0]
-        assert [p.value for p in series["flow.D2.compose_seconds"]] == [1.1]
-        assert "flow.D1.tns" in series and "flow.D1.registers_after" in series
-        assert not any(name.endswith(".warmstart_hits") for name in series)
+        assert [p.value for p in series["flow-d1d5.work_s"]] == [1.0]
+        assert [p.value for p in series["window-20k.work_s"]] == [1.1]
 
-    def test_mem_lines_fan_out_per_size(self):
-        records = [mem_line(n=100000), mem_line(n=1000000)]
-        series = series_from_history(records)
-        assert "mem.100000.peak_rss_bytes" in series
-        assert "mem.1000000.peak_rss_bytes" in series
-        assert len(series["mem.100000.peak_rss_bytes"]) == 1
+    def test_flow_lines_fan_out_per_design(self):
+        # flow-d1d5's per-design register counts become their own series.
+        line = run_line(**{"D1.registers": 97, "D5.registers": 310, "work_s": 7.0})
+        series = series_from_history([line])
+        assert [p.value for p in series["flow-d1d5.D5.registers"]] == [310.0]
+        assert set(series) == {
+            "flow-d1d5.D1.registers",
+            "flow-d1d5.D5.registers",
+            "flow-d1d5.work_s",
+        }
 
     def test_points_keep_log_order(self):
-        records = [flow_line(compose=v) for v in (1.0, 2.0, 3.0)]
+        records = [run_line(work_s=v) for v in (1.0, 2.0, 3.0)]
         series = series_from_history(records)
-        assert [p.value for p in series["flow.D1.compose_seconds"]] == [1.0, 2.0, 3.0]
+        assert [p.value for p in series["flow-d1d5.work_s"]] == [1.0, 2.0, 3.0]
 
 
 class TestEvaluateSeries:
@@ -265,32 +363,40 @@ class TestEvaluateSeries:
 
 class TestEvaluateHistory:
     def test_stable_history_is_ok(self):
-        records = [flow_line(compose=1.0, when=float(i)) for i in range(4)]
+        records = [run_line(work_s=1.0, when=float(i)) for i in range(4)]
         report = evaluate_history(records, Policy())
         assert report.ok
         assert report.history_lines == 4
         assert all(v.status == STATUS_OK for v in report.verdicts)
 
-    def test_injected_3x_compose_regression_fails(self):
-        # The acceptance scenario: a 3x compose_seconds spike on the
-        # latest line must flip the report to not-ok.
-        records = [flow_line(compose=1.0, when=float(i)) for i in range(4)]
-        records.append(flow_line(compose=3.0, sha="dddddddddddd", when=99.0))
-        report = evaluate_history(records, Policy())
+    def test_doubled_enumerate_flags_only_its_containing_series(self):
+        # ROADMAP's "done when" for the sentinel, on the shipped policy: the
+        # committed flow-d1d5 records, then one whose enumerate stage and
+        # every series containing its time doubled.
+        policy = load_policy(default_policy_path())
+        baseline = [
+            r for r in load_history(COMMITTED_HISTORY) if r["workload"] == "flow-d1d5"
+        ]
+        assert len(baseline) >= 5
+        latest = json.loads(json.dumps(baseline[-1]))
+        latest["git_sha"] = "dddddddddddd"
+        for name in ENUMERATE_AND_CONTAINERS:
+            latest["metrics"][name] *= 2
+        report = evaluate_history(baseline + [latest], policy)
         assert not report.ok
-        names = [v.name for v in report.regressions]
-        assert "flow.D1.compose_seconds" in names
-        assert "flow.D1.runtime_seconds" in names
+        assert sorted(v.name for v in report.regressions) == sorted(
+            f"flow-d1d5.{name}" for name in ENUMERATE_AND_CONTAINERS
+        )
 
     def test_real_repo_history_is_clean(self):
-        records = load_history(os.path.join(REPO_ROOT, "BENCH_history.jsonl"))
+        records = load_history(COMMITTED_HISTORY)
         policy = load_policy(default_policy_path())
         report = evaluate_history(records, policy)
         assert report.ok, report.format()
 
     def test_report_format_and_dict(self):
-        records = [flow_line(compose=1.0, when=float(i)) for i in range(3)]
-        records.append(flow_line(compose=5.0, when=99.0))
+        records = [run_line(work_s=1.0, tns_ns=-1.5, when=float(i)) for i in range(3)]
+        records.append(run_line(work_s=5.0, tns_ns=-1.5, when=99.0))
         report = evaluate_history(records, Policy())
         text = report.format()
         assert "REGRESSION" in text.splitlines()[-1]
@@ -301,10 +407,10 @@ class TestEvaluateHistory:
         assert data["ok"] is False
         assert data["regressions"] >= 1
         assert {m["name"] for m in data["metrics"]} >= {
-            "flow.D1.compose_seconds",
-            "flow.D1.tns",
+            "flow-d1d5.work_s",
+            "flow-d1d5.tns_ns",
         }
 
     def test_ok_report_format(self):
-        report = evaluate_history([flow_line()], Policy())
+        report = evaluate_history([run_line()], Policy())
         assert report.format().splitlines()[-1] == "OK — no regressions"

@@ -1,12 +1,14 @@
 """Tests for the command-line driver."""
 
 import json
+import os
 
 import pytest
 
 from repro import obs
 from repro.cli import main
 from repro.obs.manifest import MANIFEST_REQUIRED_KEYS, validate_manifest
+from repro.obs.sentinel import validate_record
 
 
 @pytest.fixture(scope="module")
@@ -191,21 +193,85 @@ class TestObservability:
         assert "runtime saved" in line
 
 
-def _history_line(compose=1.0, sha="aaaaaaaaaaaa", when=1000.0):
+def _run_line(work_s=1.0, enumerate_s=0.25, sha="aaaaaaaaaaaa", when=1000.0):
+    """One valid ``repro.bench.run/1`` flow-d1d5 line."""
     return {
-        "schema": "repro.bench.history/1",
+        "schema": "repro.bench.run/1",
         "generated_unix": when,
         "git_sha": sha,
-        "scale": 1.0,
-        "designs": {
-            "D1": {
-                "runtime_seconds": compose * 2,
-                "compose_seconds": compose,
-                "registers_after": 500,
-                "tns": -1.5,
-            }
+        "git_dirty": False,
+        "workload": "flow-d1d5",
+        "passes": 1,
+        "slowness": 1.0,
+        "attempted": 10,
+        "failed": 0,
+        "metrics": {
+            "work_s": work_s,
+            "compose.enumerate_s": enumerate_s,
+            "compose.apply_s": 0.3,
+            "tns_ns": -20.0,
+            "D1.registers": 97,
         },
     }
+
+
+FAKE_PERFBENCH = """
+import json, os, sys
+
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+with open(os.path.join(os.path.dirname(__file__), "canned.json")) as fh:
+    run = json.load(fh)[args["--workload"] + ":" + args["--trace"]]
+assert args["--seed"] == "1" and args["--seconds"] == "5", args
+print("record " + json.dumps(run["record"]))
+print(json.dumps(run["result"]))
+sys.exit(run.get("exit", 0))
+"""
+
+
+def _perfbench_run(trace, correct=True, failed=0, exit=0):
+    """The canned output of one stubbed perfbench run."""
+    if trace:
+        metrics = {
+            "compose.enumerate_s": {"value": 3.0, "unit": "s"},
+            "check.p50_ms": {"value": 40.0, "unit": "ms"},
+        }
+    else:
+        metrics = {"work_s": {"value": 6.0, "unit": "s"}}
+    return {
+        "record": {
+            "passes": 1,
+            "slowness": 2.0 if trace else 1.2,
+            "qor": {"tns_ns": -4.0},
+            "counts": {"D1.registers": 97},
+        },
+        "result": {
+            "correct": correct,
+            "attempted": 5,
+            "failed": failed,
+            "metrics": metrics,
+        },
+        "exit": exit,
+    }
+
+
+@pytest.fixture
+def fake_checkout(tmp_path, monkeypatch):
+    """A repository root whose perfbench/run.py prints canned runs; returns
+    the canned table, keyed ``<workload>:<trace>``, for a test to edit."""
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(FAKE_PERFBENCH)
+    spec = {"run_seconds": 5, "workloads": [{"name": "w1"}, {"name": "w2"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    canned = {
+        f"{w}:{t}": _perfbench_run(t) for w in ("w1", "w2") for t in (0, 1)
+    }
+    monkeypatch.chdir(tmp_path)
+
+    def write():
+        (tmp_path / "perfbench" / "canned.json").write_text(json.dumps(canned))
+
+    write()
+    return canned, write
 
 
 class TestPerformanceIntelligence:
@@ -279,27 +345,37 @@ class TestPerformanceIntelligence:
 
     def test_bench_report_ok_and_check_gate(self, tmp_path, capsys):
         history = tmp_path / "h.jsonl"
-        lines = [_history_line(compose=1.0, when=float(i)) for i in range(4)]
+        lines = [_run_line(when=float(i)) for i in range(5)]
         history.write_text("".join(json.dumps(r) + "\n" for r in lines))
         rc = main(["bench", "report", "--history", str(history), "--check"])
         assert rc == 0
         assert "OK — no regressions" in capsys.readouterr().out
 
-        # Inject the acceptance scenario: a 3x compose_seconds spike.
+        # A doubled enumerate stage, and the work containing it, flags
+        # under the shipped policy; its sibling layers do not.
         with open(history, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(_history_line(compose=3.0, when=99.0)) + "\n")
-        rc = main(["bench", "report", "--history", str(history), "--check"])
+            line = _run_line(work_s=2.0, enumerate_s=0.5, when=99.0)
+            fh.write(json.dumps(line) + "\n")
+        json_out = tmp_path / "report.json"
+        rc = main([
+            "bench", "report", "--history", str(history), "--check",
+            "--json", str(json_out),
+        ])
         assert rc == 1
-        out = capsys.readouterr().out
-        assert "flow.D1.compose_seconds" in out
-        assert "REGRESSION" in out
+        assert "REGRESSION" in capsys.readouterr().out
+        flagged = {
+            m["name"]
+            for m in json.loads(json_out.read_text())["metrics"]
+            if m["status"] == "regression"
+        }
+        assert flagged == {"flow-d1d5.work_s", "flow-d1d5.compose.enumerate_s"}
 
         # Without --check the regression is reported but not fatal.
         assert main(["bench", "report", "--history", str(history)]) == 0
 
     def test_bench_report_json_output(self, tmp_path, capsys):
         history = tmp_path / "h.jsonl"
-        history.write_text(json.dumps(_history_line()) + "\n")
+        history.write_text(json.dumps(_run_line()) + "\n")
         report_out = tmp_path / "report.json"
         rc = main([
             "bench", "report",
@@ -310,6 +386,52 @@ class TestPerformanceIntelligence:
         data = json.loads(report_out.read_text())
         assert data["schema"] == "repro.bench.report/1"
         assert data["ok"] is True
+
+    def test_bench_record_appends_one_line_per_workload(
+        self, fake_checkout, capsys
+    ):
+        with open("h.jsonl", "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(_run_line()) + "\n")
+        assert main(["bench", "record", "--history", "h.jsonl"]) == 0
+        assert "appended 2 records to h.jsonl" in capsys.readouterr().out
+        with open("h.jsonl", encoding="utf-8") as fh:
+            lines = [json.loads(line) for line in fh]
+        assert [r["workload"] for r in lines] == ["flow-d1d5", "w1", "w2"]
+        record = lines[1]
+        assert validate_record(record) == []
+        assert record["git_sha"] == "unknown" and record["git_dirty"] is False
+        assert (record["slowness"], record["attempted"]) == (2.0, 10)
+        # Per-layer seconds divide by the traced run's slowness;
+        # check.p50_ms is already rescaled by perfbench.
+        assert record["metrics"] == {
+            "work_s": 6.0,
+            "tns_ns": -4.0,
+            "D1.registers": 97,
+            "compose.enumerate_s": 1.5,
+            "check.p50_ms": 40.0,
+        }
+        assert main(["bench", "report", "--history", "h.jsonl", "--check"]) == 0
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"correct": False}, {"failed": 1}, {"exit": 3}],
+        ids=["incorrect", "failed-op", "nonzero-exit"],
+    )
+    def test_bench_record_appends_nothing_unless_every_run_is_clean(
+        self, fake_checkout, bad, capsys
+    ):
+        canned, write = fake_checkout
+        canned["w2:1"] = _perfbench_run(1, **bad)
+        write()
+        assert main(["bench", "record", "--history", "h.jsonl"]) == 1
+        assert "perfbench w2 --trace 1" in capsys.readouterr().err
+        assert not os.path.exists("h.jsonl")
+
+    def test_bench_record_without_perfbench_exits_two(self, fake_checkout, capsys):
+        os.remove(os.path.join("perfbench", "run.py"))
+        assert main(["bench", "record", "--history", "h.jsonl"]) == 2
+        assert "perfbench/run.py not found" in capsys.readouterr().err
+        assert not os.path.exists("h.jsonl")
 
     def test_bench_report_real_repo_history_is_clean(self, capsys):
         rc = main(["bench", "report", "--check"])
