@@ -75,7 +75,6 @@ def build_jobs(names: list[str], jobs_per_design: int, seed: int) -> list[JobReq
 def build_server(args) -> tuple[ComposeServer, list[str]]:
     shared = SharedComponentCache(spill_dir=args.spill_dir)
     registry = DesignRegistry(shared_cache=shared)
-    registry.config.workers = args.workers
     names = []
     for i in range(args.replicas):
         name = f"{args.preset}-{i}"
@@ -162,7 +161,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--queue-depth", dest="queue_depth", type=int, default=64)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--spill-dir", dest="spill_dir")
     ap.add_argument(
         "--check",

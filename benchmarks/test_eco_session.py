@@ -16,10 +16,10 @@ from dataclasses import replace
 
 from benchmarks.conftest import BENCH_SCALE
 from repro.bench import generate_design, preset
+from repro.check import clone_world, composition_signature
 from repro.core.composer import compose_design
 from repro.flow import EcoSession
-from repro.geometry import Point
-from repro.sta import Timer
+from repro.geometry import Point, clamp_to_die
 
 # Below ~0.4 the designs are small enough that per-move fixed costs mask
 # the cache win; the acceptance numbers are calibrated at 0.6.
@@ -27,25 +27,6 @@ ECO_SCALE = max(BENCH_SCALE, 0.6)
 MOVES = 20
 RADIUS = 3.0
 SEED = 11
-
-
-def _clone_world(session: EcoSession):
-    design = session.design.clone()
-    timer = Timer(
-        design,
-        session.timer.clock_period,
-        skew=dict(session.timer.skew),
-        input_delay=session.timer.input_delay,
-        output_delay=session.timer.output_delay,
-        technology=session.timer.tech,
-        audit_mode=False,
-    )
-    scan = session.scan_model.clone() if session.scan_model is not None else None
-    return design, timer, scan
-
-
-def _groups(result):
-    return [(g.new_cell, g.libcell, tuple(g.members), g.bits) for g in result.composed]
 
 
 def test_eco_storm_reuses_components_and_beats_scratch(lib):
@@ -63,19 +44,20 @@ def test_eco_storm_reuses_components_and_beats_scratch(lib):
             if not (c.fixed or c.dont_touch)
         ]
         cell = rng.choice(movable)
-        x = min(
-            max(session.design.die.xlo, cell.origin.x + rng.uniform(-RADIUS, RADIUS)),
-            session.design.die.xhi - cell.libcell.width,
-        )
-        y = min(
-            max(session.design.die.ylo, cell.origin.y + rng.uniform(-RADIUS, RADIUS)),
-            session.design.die.yhi - cell.libcell.height,
+        x, y = clamp_to_die(
+            session.design.die,
+            cell.libcell.width,
+            cell.libcell.height,
+            cell.origin.x + rng.uniform(-RADIUS, RADIUS),
+            cell.origin.y + rng.uniform(-RADIUS, RADIUS),
         )
         with session.edit():
             session.design.move_cell(cell, Point(x, y))
 
         # Shadow world: the same edited netlist, composed from scratch.
-        ref_design, ref_timer, ref_scan = _clone_world(session)
+        ref_design, ref_timer, ref_scan = clone_world(
+            session.design, session.timer, session.scan_model
+        )
         t0 = time.perf_counter()
         ref_result = compose_design(
             ref_design,
@@ -90,7 +72,7 @@ def test_eco_storm_reuses_components_and_beats_scratch(lib):
         eco_seconds += time.perf_counter() - t0
 
         assert stats.incremental
-        assert _groups(stats.result) == _groups(ref_result)
+        assert composition_signature(stats.result) == composition_signature(ref_result)
         r, c = stats.reuse.get("components", (0.0, 0.0))
         reused += r
         recomputed += c

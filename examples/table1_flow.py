@@ -4,9 +4,8 @@ Runs the incremental MBR composition flow (ILP and heuristic baseline) on
 all five synthetic industrial benchmarks and prints the three artifacts of
 the paper's Section 5.
 
-Run:  python examples/table1_flow.py [scale] [workers]
-      (scale defaults to 0.25; 1.0 runs the full presets, several minutes;
-       workers parallelizes the ILP solve stage, bit-identical results)
+Run:  python examples/table1_flow.py [scale]
+      (scale defaults to 0.25; 1.0 runs the full presets, several minutes)
 """
 
 import sys
@@ -26,7 +25,6 @@ DESIGNS = ["D1", "D2", "D3", "D4", "D5"]
 
 def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.25
-    workers = int(sys.argv[2]) if len(sys.argv) > 2 else 1
     library = default_library()
 
     ilp_reports, heur_reports = [], []
@@ -34,7 +32,6 @@ def main() -> None:
         for algorithm, sink in (("ilp", ilp_reports), ("heuristic", heur_reports)):
             bundle = generate_design(preset(name, scale=scale), library)
             config = FlowConfig(algorithm=algorithm)
-            config.composer.workers = workers
             report = run_flow(bundle.design, bundle.timer, bundle.scan_model, config)
             sink.append(report)
         print(f"{name}: ilp {ilp_reports[-1].base.total_regs} -> "
@@ -50,7 +47,7 @@ def main() -> None:
     print("\n=== Fig. 6: normalized registers, ILP vs heuristic ===")
     print(format_fig6_comparison(ilp_reports, heur_reports))
 
-    print(f"\n=== Per-stage runtimes (ILP flow, workers={workers}) ===")
+    print("\n=== Per-stage runtimes (ILP flow) ===")
     print(format_stage_runtimes(ilp_reports))
 
 

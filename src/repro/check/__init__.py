@@ -31,7 +31,6 @@ from repro.check.oracles import (
     clone_world,
     compare_session_to_reference,
     composition_signature,
-    diff_serial_vs_parallel,
     diff_timer_vs_fresh,
     grouping_signature,
     hold_signature,
@@ -53,7 +52,6 @@ __all__ = [
     "clone_world",
     "compare_session_to_reference",
     "composition_signature",
-    "diff_serial_vs_parallel",
     "diff_timer_vs_fresh",
     "format_violations",
     "grouping_signature",

@@ -30,7 +30,7 @@ from repro import obs
 from repro.check.invariants import Violation, check_all, format_violations
 from repro.check.oracles import diff_timer_vs_fresh
 from repro.flow.session import EcoAuditError, EcoSession
-from repro.geometry import Point, last_origin
+from repro.geometry import Point, clamp_to_die
 from repro.library.library import CellLibrary
 from repro.netlist.db import Pin, Port
 from repro.netlist.design import Design
@@ -81,14 +81,12 @@ def _propose_move(world: EditWorld, rng: random.Random) -> dict | None:
     if not regs:
         return None
     cell = rng.choice(regs)
-    die = world.design.die
-    x = min(
-        max(die.xlo, cell.origin.x + rng.uniform(-4.0, 4.0)),
-        last_origin(die.xhi, cell.libcell.width),
-    )
-    y = min(
-        max(die.ylo, cell.origin.y + rng.uniform(-4.0, 4.0)),
-        last_origin(die.yhi, cell.libcell.height),
+    x, y = clamp_to_die(
+        world.design.die,
+        cell.libcell.width,
+        cell.libcell.height,
+        cell.origin.x + rng.uniform(-4.0, 4.0),
+        cell.origin.y + rng.uniform(-4.0, 4.0),
     )
     return {"op": "move", "cell": cell.name, "x": x, "y": y}
 
@@ -147,24 +145,20 @@ def _propose_merge(world: EditWorld, rng: random.Random) -> dict | None:
             )
             if not targets:
                 continue
-            die = world.design.die
             target = targets[0]
-            mid = Point(
-                min(
-                    max(die.xlo, (a.origin.x + b.origin.x) / 2.0),
-                    die.xhi - target.width,
-                ),
-                min(
-                    max(die.ylo, (a.origin.y + b.origin.y) / 2.0),
-                    die.yhi - target.height,
-                ),
+            x, y = clamp_to_die(
+                world.design.die,
+                target.width,
+                target.height,
+                (a.origin.x + b.origin.x) / 2.0,
+                (a.origin.y + b.origin.y) / 2.0,
             )
             return {
                 "op": "merge",
                 "cells": [a.name, b.name],
                 "target": target.name,
-                "x": mid.x,
-                "y": mid.y,
+                "x": x,
+                "y": y,
             }
     return None
 

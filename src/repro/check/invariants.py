@@ -1,9 +1,9 @@
 """Invariant checkers: the structural facts the flow assumes silently.
 
 Every fast path added on top of the paper's flow — dirty-cone retiming,
-digest-keyed component replay, parallel ILP fan-out — *assumes* a pile of
-structural invariants that no code enforces explicitly: a pin is on at
-most one net and that net knows about it, a net has at most one driver,
+digest-keyed component replay — *assumes* a pile of structural
+invariants that no code enforces explicitly: a pin is on at most one
+net and that net knows about it, a net has at most one driver,
 every MBR's width exists in the library, a scan chain is a single
 Hamiltonian path over its scan cells, the timer's patched graph matches a
 fresh build node-for-node, TNS is exactly the sum of negative endpoint

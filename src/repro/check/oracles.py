@@ -1,19 +1,19 @@
 """Differential oracles: fast path vs from-scratch reference.
 
-Each of the repo's three fast paths (parallel per-subgraph ILP solving,
-dirty-cone incremental STA, digest-keyed ECO recomposition) promises
-*bit-identical* results to a from-scratch recompute.  These oracles make
-that promise checkable from anywhere — property tests, the edit-storm
-fuzzer, the CLI — by cloning the world, running the slow reference, and
-diffing signatures.  Like the invariant checkers, they report
-:class:`~repro.check.invariants.Violation` lists instead of raising, so
-one storm can surface every divergence at once.
+Each of the repo's two fast paths (dirty-cone incremental STA and
+digest-keyed ECO recomposition) promises *bit-identical* results to a
+from-scratch recompute.  These oracles make that promise checkable from
+anywhere — property tests, the edit-storm fuzzer, the CLI — by cloning
+the world, running the slow reference, and diffing signatures.  Like the
+invariant checkers, they report :class:`~repro.check.invariants.Violation`
+lists instead of raising, so one storm can surface every divergence at
+once.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.check.invariants import Violation
 from repro.netlist.design import Design
@@ -218,61 +218,6 @@ def diff_timer_vs_fresh(timer: Timer) -> list[Violation]:
     """
     _, fresh, _ = clone_world(timer.design, timer)
     return _diff_timers("sta-incremental-vs-fresh", timer, fresh)
-
-
-def diff_serial_vs_parallel(
-    make_world: Callable[[], tuple[Design, Timer, ScanModel | None]],
-    workers: int = 4,
-    config=None,
-) -> list[Violation]:
-    """Parallel solve fan-out == serial path, bit for bit.
-
-    ``make_world`` must build an identical fresh world on every call (the
-    compose mutates its input, so the two runs need independent copies).
-    """
-    from repro.core.composer import compose_design
-
-    d_serial, t_serial, s_serial = make_world()
-    serial = compose_design(d_serial, t_serial, s_serial, config, workers=1)
-    d_par, t_par, s_par = make_world()
-    par = compose_design(d_par, t_par, s_par, config, workers=workers)
-
-    out: list[Violation] = []
-    if grouping_signature(serial) != grouping_signature(par):
-        out.append(
-            Violation(
-                "compose-serial-vs-parallel",
-                f"workers={workers}",
-                f"{len(serial.composed)} serial vs {len(par.composed)} "
-                "parallel groups, or differing membership/weights",
-            )
-        )
-    for field in ("registers_after", "registers_before", "ilp_nodes"):
-        if getattr(serial, field) != getattr(par, field):
-            out.append(
-                Violation(
-                    "compose-serial-vs-parallel",
-                    field,
-                    f"{getattr(serial, field)} serial vs "
-                    f"{getattr(par, field)} parallel",
-                )
-            )
-    out += _diff_map(
-        "compose-serial-vs-parallel",
-        "placements",
-        placement_signature(d_serial),
-        placement_signature(d_par),
-    )
-    if d_serial.width_histogram() != d_par.width_histogram():
-        out.append(
-            Violation(
-                "compose-serial-vs-parallel",
-                "width histogram",
-                f"{d_serial.width_histogram()} serial vs "
-                f"{d_par.width_histogram()} parallel",
-            )
-        )
-    return out
 
 
 def compare_session_to_reference(

@@ -3,10 +3,10 @@
 Usage::
 
     python -m repro.cli run --preset D1 --scale 0.25 \\
-        [--trace-out t.json] [--manifest-out m.json] [--workers 4]
+        [--trace-out t.json] [--manifest-out m.json]
     python -m repro.cli compose --lib repro28.lib --verilog design.v \\
         --def design.def --period 1.2 --out-prefix composed \\
-        [--heuristic] [--workers 4] [--trace] [--trace-out t.json]
+        [--heuristic] [--trace] [--trace-out t.json]
     python -m repro.cli trace out.json --preset D1
     python -m repro.cli generate --preset D1 --scale 0.25 --out-prefix d1
     python -m repro.cli report --lib repro28.lib --verilog d.v --def d.def --period 1.2
@@ -68,7 +68,7 @@ import time
 from repro import obs
 from repro.bench import generate_design, preset
 from repro.flow import EcoSession, FlowConfig, run_flow
-from repro.geometry.point import Point
+from repro.geometry import Point, clamp_to_die
 from repro.io import (
     read_def,
     read_liberty,
@@ -213,7 +213,6 @@ def cmd_run(args) -> int:
         algorithm="heuristic" if args.heuristic else "ilp",
         decompose_widths=tuple(args.decompose) if args.decompose else (),
     )
-    config.composer.workers = args.workers
     report = run_flow(bundle.design, bundle.timer, bundle.scan_model, config)
     print(format_table1([report]))
     if args.trace:
@@ -244,7 +243,6 @@ def cmd_compose(args) -> int:
         algorithm="heuristic" if args.heuristic else "ilp",
         decompose_widths=tuple(args.decompose) if args.decompose else (),
     )
-    config.composer.workers = args.workers
     report = run_flow(design, timer, scan_model, config)
     print(format_table1([report]))
     if args.trace:
@@ -296,13 +294,12 @@ def cmd_eco(args) -> int:
             break
         cell = rng.choice(movable)
         r = args.radius
-        x = min(
-            max(design.die.xlo, cell.origin.x + rng.uniform(-r, r)),
-            design.die.xhi - cell.libcell.width,
-        )
-        y = min(
-            max(design.die.ylo, cell.origin.y + rng.uniform(-r, r)),
-            design.die.yhi - cell.libcell.height,
+        x, y = clamp_to_die(
+            design.die,
+            cell.libcell.width,
+            cell.libcell.height,
+            cell.origin.x + rng.uniform(-r, r),
+            cell.origin.y + rng.uniform(-r, r),
         )
         with session.edit():
             design.move_cell(cell, Point(x, y))
@@ -485,7 +482,6 @@ def cmd_serve(args) -> int:
         spill_dir=args.spill_dir,
     )
     registry = DesignRegistry(shared_cache=shared)
-    registry.config.workers = args.workers
     for i, preset_name in enumerate(args.designs):
         name = f"{preset_name}-{i}"
         registry.add_preset(name, preset_name, scale=args.scale)
@@ -616,12 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             nargs="*",
             help="MBR widths to decompose before composition (e.g. --decompose 8)",
-        )
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="process-pool width of the ILP solve stage (default: 1, serial)",
         )
         p.add_argument(
             "--trace",
@@ -812,12 +802,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         help="max jobs in flight before submissions are rejected queue_full",
-    )
-    srv.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-pool width of each session's ILP solve stage",
     )
     srv.add_argument(
         "--cache-entries",

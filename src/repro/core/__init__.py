@@ -13,8 +13,8 @@ Pipeline (paper Sections 2-4):
    acceptance, and feasibility screening;
 6. :mod:`repro.core.weights` — the convex-hull blocking test and the
    placement-aware weight w_i;
-7. :mod:`repro.core.subproblem` — pure, picklable per-subgraph ILP
-   specs/results, solved serially or across a process pool;
+7. :mod:`repro.core.subproblem` — pure per-subgraph ILP specs/results,
+   solved in-process one after another;
 8. :mod:`repro.core.composer` — the stage pipeline (analyze → graph →
    partition → enumerate → solve → apply → scan → legalize) and solution
    application;

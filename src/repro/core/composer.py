@@ -8,9 +8,8 @@ the run finishes with **scan → legalize**:
 * *graph* — the compatibility graph;
 * *partition* — clock-pin-driven decomposition into ≤30-node subgraphs;
 * *enumerate* — weighted candidate MBRs per subgraph;
-* *solve* — the set-partitioning ILPs, detached into pure picklable
-  :class:`~repro.core.subproblem.SubproblemSpec` s and (optionally) fanned
-  out across a process pool (``ComposerConfig.workers``);
+* *solve* — the set-partitioning ILPs, detached into pure
+  :class:`~repro.core.subproblem.SubproblemSpec` s and solved in-process;
 * *apply* — map, place, and commit every selected candidate (serial: it
   mutates the netlist and the scan model);
 * *scan* / *legalize* — chain reordering/restitching and row legalization.
@@ -64,18 +63,12 @@ class ComposerConfig:
     compatibility: CompatibilityConfig = field(default_factory=CompatibilityConfig)
     candidates: CandidateConfig = field(default_factory=CandidateConfig)
     max_subgraph_nodes: int = DEFAULT_MAX_NODES
-    run_legalize: bool = True
-    legalize_max_displacement: float | None = None
     passes: int = 2
     """Incremental composition passes.  The paper applies composition
     incrementally, including on MBRs composed earlier; a second pass over
     the re-analyzed design merges newly-adjacent MBRs (e.g. two fresh 4-bit
     cells into an 8-bit) and groups whose polygons became clean when their
     blockers merged away."""
-    workers: int = 1
-    """Process-pool width of the solve stage.  The per-subgraph ILPs are
-    independent (Section 3), so they fan out across processes; ``1`` keeps
-    the historical in-process serial path.  Both paths are bit-identical."""
 
 
 @dataclass
@@ -386,7 +379,6 @@ class ComposeState(FlowContext):
 
     config: ComposerConfig = field(default_factory=ComposerConfig)
     result: CompositionResult = field(default_factory=CompositionResult)
-    workers: int = 1
     pass_index: int = 0
     infos: dict[str, RegisterInfo] = field(default_factory=dict)
     all_regs: object | None = None
@@ -590,7 +582,7 @@ def _stage_enumerate(state: ComposeState):
 
 @stage("solve")
 def _stage_solve(state: ComposeState):
-    """Solve every subgraph's set-partitioning ILP (pure; fans out).
+    """Solve every subgraph's set-partitioning ILP (pure, in-process).
 
     Components replayed from the cache contribute their recorded selection
     without a solve; freshly solved components write their outcome back to
@@ -602,7 +594,7 @@ def _stage_solve(state: ComposeState):
         make_spec(i, part.nodes, cands)
         for i, (part, cands) in enumerate(zip(state.parts, state.candidates))
     ]
-    results = solve_subproblems(specs, workers=state.workers)
+    results = solve_subproblems(specs)
     chosen: list[CandidateMBR] = []
     part_chosen: list[list[CandidateMBR]] = [[] for _ in state.parts]
     nodes = 0
@@ -637,7 +629,6 @@ def _stage_solve(state: ComposeState):
         "subproblems": len(specs),
         "ilp_nodes": nodes,
         "chosen": len(state.chosen),
-        "workers": state.workers,
         "suboptimal": sum(not r.optimal for r in results),
     }
 
@@ -681,7 +672,7 @@ def _stage_scan(state: ComposeState):
 def _stage_legalize(state: ComposeState):
     """Row-legalize the freshly placed MBRs."""
     live = [c for c in state.new_cells if c.name in state.design.cells]
-    if not (state.config.run_legalize and live):
+    if not live:
         return {"moved": 0}
     rows = PlacementRows(
         state.design.die,
@@ -689,12 +680,7 @@ def _stage_legalize(state: ComposeState):
         state.design.library.technology.site_width,
     )
     with state.design.track() as tracker:
-        state.result.legalization = legalize(
-            state.design,
-            rows,
-            movable=live,
-            max_displacement=state.config.legalize_max_displacement,
-        )
+        state.result.legalization = legalize(state.design, rows, movable=live)
     record = tracker.record()
     state.change_log.append(record)
     state.timer.apply_change(record)
@@ -720,17 +706,24 @@ def compose_design(
     timer: Timer,
     scan_model: ScanModel | None = None,
     config: ComposerConfig | None = None,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> CompositionResult:
     """Run the full placement-aware ILP composition on a placed design.
 
     The design is edited in place; ``timer`` absorbs every edit through
     scoped :meth:`~repro.sta.timer.Timer.apply_change` calls (dirty-cone
-    retiming instead of full invalidation).  ``workers`` overrides ``config.workers`` (process-pool width of the
-    solve stage; any value returns bit-identical results).  Returns the
+    retiming instead of full invalidation).  Returns the
     :class:`CompositionResult` record, including its stage
     :class:`~repro.engine.StageTrace`.
+
+    Every subgraph ILP is solved in-process.  ``workers`` stays only for
+    callers that pass ``workers=1``; any other value raises
+    :class:`ValueError`.
     """
+    if workers != 1:
+        raise ValueError(
+            f"workers={workers!r}: the solve stage runs in-process; only 1 is accepted"
+        )
     config = config or ComposerConfig()
     t0 = time.perf_counter()
     result = CompositionResult(registers_before=design.total_register_count())
@@ -741,7 +734,6 @@ def compose_design(
         scan_model,
         config=config,
         result=result,
-        workers=config.workers if workers is None else workers,
     )
 
     with obs.span(

@@ -10,11 +10,9 @@ shared :class:`FlowContext`:
 * :mod:`repro.engine.pipeline` — the sequential :class:`Pipeline` runner;
 * :mod:`repro.engine.context` — the shared design/timer/scan context.
 
-Making each phase an explicit, independently schedulable unit is what
-lets the solve stage fan out across processes
-(:mod:`repro.core.subproblem`) while analysis, application, and
-legalization stay serial — and it is the seam future scaling work
-(caching, sharding, async) plugs into.
+Making each phase an explicit, individually timed unit is what lets a
+trace say where a run spent its time, and it is the seam the
+incremental ECO recompose (:mod:`repro.flow.session`) plugs into.
 """
 
 from repro.engine.context import FlowContext

@@ -16,7 +16,7 @@ from typing import Callable, Generic, Protocol, TypeVar, runtime_checkable
 CtxT = TypeVar("CtxT", contravariant=True)
 
 #: Numeric side-facts a stage reports alongside its runtime
-#: (register counts, ILP nodes, worker counts, ...).  Integer-valued
+#: (register counts, ILP nodes, subproblem counts, ...).  Integer-valued
 #: counters stay ``int`` end-to-end — recording, totalling, and
 #: formatting never coerce them to ``float``.
 Counters = dict[str, int | float]

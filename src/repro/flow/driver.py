@@ -54,11 +54,7 @@ class FlowConfig:
     paper's future-work extension for 8-bit-rich designs like D4 (pass
     ``(8,)`` to split the initial 8-bit MBRs and let the ILP regroup)."""
     run_skew: bool = True
-    skew_window: float = 0.05
     run_sizing: bool = True
-    sizing_margin: float = 0.0
-    cts_max_fanout: int = 16
-    congestion_bins: int = 24
 
 
 @dataclass
@@ -103,13 +99,7 @@ class FlowState(FlowContext):
 
 
 def _measure(state: FlowState) -> DesignMetrics:
-    return collect_metrics(
-        state.design,
-        state.timer,
-        state.scan_model,
-        cts_max_fanout=state.config.cts_max_fanout,
-        congestion_bins=state.config.congestion_bins,
-    )
+    return collect_metrics(state.design, state.timer, state.scan_model)
 
 
 @stage("base-metrics")
@@ -207,9 +197,7 @@ def _stage_skew(state: FlowState):
     """Useful skew on the newly composed MBRs."""
     if not (state.config.run_skew and state.new_cells):
         return {"skewed": 0}
-    state.skew = assign_useful_skew(
-        state.timer, state.new_cells, window=state.config.skew_window
-    )
+    state.skew = assign_useful_skew(state.timer, state.new_cells)
     return {"skewed": len(state.skew.offsets)}
 
 
@@ -222,20 +210,10 @@ def _stage_sizing(state: FlowState):
         # Sizing applies its own scoped changes to the timer; the session
         # only needs the record to mark the swapped registers dirty.
         with state.design.track() as tracker:
-            state.sizing = size_registers(
-                state.design,
-                state.timer,
-                state.new_cells,
-                margin=state.config.sizing_margin,
-            )
+            state.sizing = size_registers(state.design, state.timer, state.new_cells)
         state.session.observe(tracker.record())
     else:
-        state.sizing = size_registers(
-            state.design,
-            state.timer,
-            state.new_cells,
-            margin=state.config.sizing_margin,
-        )
+        state.sizing = size_registers(state.design, state.timer, state.new_cells)
     return {"swapped": state.sizing.num_swapped}
 
 

@@ -42,6 +42,11 @@ from contextlib import contextmanager
 from typing import Iterator
 
 from repro import obs
+from repro.check.oracles import (
+    clone_world,
+    composition_signature,
+    placement_signature,
+)
 from repro.core.composer import (
     FINALIZE_PIPELINE,
     PASS_PIPELINE,
@@ -135,13 +140,6 @@ class EcoStats:
         return self.trace.reuse_summary() if self.trace is not None else {}
 
 
-@dataclass
-class _AuditReference:
-    design: Design
-    timer: Timer
-    scan_model: ScanModel | None
-
-
 class EcoSession:
     """A persistent composition context over one design.
 
@@ -229,7 +227,11 @@ class EcoSession:
                 ripples |= self._carry_changed
         self._carry_changed = set()
 
-        reference = self._audit_reference() if incremental and self.audit_mode else None
+        reference = (
+            clone_world(self.design, self.timer, self.scan_model)
+            if incremental and self.audit_mode
+            else None
+        )
 
         t0 = time.perf_counter()
         trace = StageTrace()
@@ -241,7 +243,6 @@ class EcoSession:
             result=CompositionResult(
                 registers_before=self.design.total_register_count()
             ),
-            workers=self.config.workers,
             cache=self.cache,
         )
         if incremental:
@@ -397,52 +398,33 @@ class EcoSession:
 
     # -- audit mode ---------------------------------------------------------
 
-    def _audit_reference(self) -> _AuditReference:
-        """Snapshot the pre-recompose world for the shadow check."""
-        ref_design = self.design.clone()
-        ref_timer = Timer(
-            ref_design,
-            self.timer.clock_period,
-            skew=dict(self.timer.skew),
-            input_delay=self.timer.input_delay,
-            output_delay=self.timer.output_delay,
-            technology=self.timer.tech,
-            audit_mode=False,
-        )
-        ref_scan = self.scan_model.clone() if self.scan_model is not None else None
-        return _AuditReference(ref_design, ref_timer, ref_scan)
-
     def _audit_compare(
-        self, ref: _AuditReference, limit: int, result: CompositionResult
+        self,
+        reference: tuple[Design, Timer, ScanModel | None],
+        limit: int,
+        result: CompositionResult,
     ) -> None:
-        """Compose the snapshot from scratch and demand exact agreement."""
+        """Compose the pre-recompose clone from scratch and demand exact
+        agreement."""
+        ref_design, ref_timer, ref_scan = reference
         ref_result = compose_design(
-            ref.design,
-            ref.timer,
-            ref.scan_model,
+            ref_design,
+            ref_timer,
+            ref_scan,
             config=replace(self.config, passes=limit),
         )
 
-        def groups(res: CompositionResult):
-            return [
-                (g.new_cell, g.libcell, tuple(g.members), g.bits)
-                for g in res.composed
-            ]
-
-        if groups(result) != groups(ref_result):
+        groups = composition_signature(result)
+        ref_groups = composition_signature(ref_result)
+        if groups != ref_groups:
             raise EcoAuditError(
                 "ECO audit: composed groups diverged from from-scratch compose\n"
-                f"  incremental: {groups(result)}\n"
-                f"  reference:   {groups(ref_result)}"
+                f"  incremental: {groups}\n"
+                f"  reference:   {ref_groups}"
             )
 
-        def placements(design: Design):
-            return {
-                name: (c.libcell.name, c.origin.x, c.origin.y)
-                for name, c in design.cells.items()
-            }
-
-        live, shadow = placements(self.design), placements(ref.design)
+        live = placement_signature(self.design)
+        shadow = placement_signature(ref_design)
         if live != shadow:
             diff = {
                 k
@@ -453,10 +435,10 @@ class EcoSession:
                 f"ECO audit: placements diverged on {sorted(diff)[:10]}"
             )
 
-        if set(self.design.nets) != set(ref.design.nets):
+        if set(self.design.nets) != set(ref_design.nets):
             raise EcoAuditError(
                 "ECO audit: net sets diverged: "
-                f"{set(self.design.nets) ^ set(ref.design.nets)}"
+                f"{set(self.design.nets) ^ set(ref_design.nets)}"
             )
 
         if self.scan_model is not None:
@@ -467,11 +449,11 @@ class EcoSession:
                     for name, c in model.chains.items()
                 }
 
-            if chain_state(self.scan_model) != chain_state(ref.scan_model):
+            if chain_state(self.scan_model) != chain_state(ref_scan):
                 raise EcoAuditError("ECO audit: scan chains diverged")
 
         live_summary = self.timer.summary()
-        ref_summary = ref.timer.summary()
+        ref_summary = ref_timer.summary()
         if live_summary != ref_summary:
             raise EcoAuditError(
                 "ECO audit: timing summaries diverged: "

@@ -14,7 +14,7 @@ Manhattan-metric throughout.
 """
 
 from repro.geometry.point import Point, manhattan
-from repro.geometry.rect import Rect, last_origin
+from repro.geometry.rect import Rect, clamp_to_die, last_origin
 from repro.geometry.hull import convex_hull, polygon_area, point_in_convex_polygon
 from repro.geometry.region import FeasibleRegion
 
@@ -22,6 +22,7 @@ __all__ = [
     "Point",
     "manhattan",
     "Rect",
+    "clamp_to_die",
     "last_origin",
     "convex_hull",
     "polygon_area",

@@ -211,3 +211,13 @@ def last_origin(hi: float, size: float) -> float:
     while origin + size > hi:
         origin = math.nextafter(origin, -math.inf)
     return origin
+
+
+def clamp_to_die(
+    die: Rect, width: float, height: float, x: float, y: float
+) -> tuple[float, float]:
+    """Clamp a requested origin so a ``width`` x ``height`` footprint stays
+    on ``die``; the upper bounds come from :func:`last_origin`."""
+    x = min(max(die.xlo, x), last_origin(die.xhi, width))
+    y = min(max(die.ylo, y), last_origin(die.yhi, height))
+    return x, y

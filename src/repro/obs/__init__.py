@@ -3,7 +3,7 @@
 One subsystem, three signals, one artifact:
 
 * :mod:`repro.obs.trace` — hierarchical **span tracing** (context-manager
-  API, thread/process-safe, near-zero overhead when disabled) with Chrome
+  API, thread-safe, near-zero overhead when disabled) with Chrome
   ``trace_event`` export, so any run opens directly in Perfetto;
 * :mod:`repro.obs.metrics` — the **metrics registry** (counters, gauges,
   fixed-bucket histograms) every subsystem reports into: ILP node/pivot

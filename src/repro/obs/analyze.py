@@ -95,8 +95,8 @@ def build_span_forest(data: dict) -> list[SpanNode]:
     Chrome complete events carry no parent links; within one
     ``(pid, tid)`` track, a span's parent is the closest earlier span
     whose interval contains it (exactly how Perfetto stacks them).
-    Returns the forest's roots — one tree per outermost span, worker
-    tracks contributing their own roots.
+    Returns the forest's roots — one tree per outermost span, each
+    ``(pid, tid)`` track contributing its own roots.
     """
     nodes = [
         SpanNode(

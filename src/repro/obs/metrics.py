@@ -6,11 +6,9 @@ explored/pruned, simplex pivots, and LP relaxation gaps; the composition
 cache reports digest hits/misses/evictions; the incremental timer folds
 its :class:`~repro.sta.timer.TimerStats` in.  The registry is cheap
 enough to stay always-on (a dict lookup and an integer add per event —
-hot loops accumulate locally and report once per call), deterministic
+hot loops accumulate locally and report once per call) and deterministic
 (histogram buckets are fixed at creation, so two identical runs produce
-identical snapshots modulo wall-clock), and mergeable (worker processes
-return :meth:`MetricsRegistry.snapshot` payloads that the parent
-:meth:`MetricsRegistry.merge` s back in).
+identical snapshots modulo wall-clock).
 """
 
 from __future__ import annotations
@@ -130,10 +128,10 @@ class MetricsRegistry:
                 h = self._histograms.setdefault(name, Histogram(name, buckets))
         return h
 
-    # -- snapshots & merging ------------------------------------------------
+    # -- snapshots ----------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """A plain-data view of every metric (JSON-ready, picklable)."""
+        """A plain-data view of every metric (JSON-ready)."""
         return {
             "counters": {n: c.value for n, c in sorted(self._counters.items())},
             "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
@@ -141,25 +139,6 @@ class MetricsRegistry:
                 n: h.as_dict() for n, h in sorted(self._histograms.items())
             },
         }
-
-    def merge(self, snapshot: dict) -> None:
-        """Fold a snapshot (typically from a worker process) into this
-        registry: counters and histogram slots add, gauges last-write-win."""
-        for name, value in snapshot.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name).set(value)
-        for name, data in snapshot.get("histograms", {}).items():
-            h = self.histogram(name, data["buckets"])
-            if tuple(float(b) for b in data["buckets"]) != h.buckets:
-                raise ValueError(
-                    f"histogram {name!r}: bucket mismatch on merge "
-                    f"({data['buckets']} vs {list(h.buckets)})"
-                )
-            for i, c in enumerate(data["counts"]):
-                h.counts[i] += c
-            h.count += data["count"]
-            h.total += data["sum"]
 
     def reset(self) -> None:
         with self._lock:

@@ -10,14 +10,9 @@ a ``None`` test):
   every live thread (via :meth:`Tracer.active_stacks
   <repro.obs.trace.Tracer.active_stacks>`), accumulating collapsed-stack
   ("folded") counts loadable by any flamegraph tool
-  (``flamegraph.pl``, speedscope, inferno).  Worker processes cannot be
-  sampled from the parent, so their contribution rides the existing
-  :meth:`Tracer.adopt <repro.obs.trace.Tracer.adopt>` merge path:
-  :meth:`Profiler.ingest_spans` converts adopted worker span records
-  into samples (per-span self time quantized to the sampling interval,
-  floored at one sample so short solves stay visible), prefixed with the
-  parent stack at the fan-out site.  Enabled via ``repro run --profile
-  out.folded`` or ``REPRO_PROFILE=1`` (or ``REPRO_PROFILE=path``).
+  (``flamegraph.pl``, speedscope, inferno).  Enabled via ``repro run
+  --profile out.folded`` or ``REPRO_PROFILE=1`` (or
+  ``REPRO_PROFILE=path``).
 * :class:`ResourceSampler` — a coarse (default 250 ms) sampler of the
   process's RSS and CPU utilization: each tick updates the
   ``proc.rss_bytes`` / ``proc.rss_peak_bytes`` / ``proc.cpu_percent``
@@ -43,7 +38,7 @@ import threading
 import time
 
 from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.obs.trace import SpanRecord, Tracer, get_tracer
+from repro.obs.trace import Tracer, get_tracer
 
 PROFILE_ENV = "REPRO_PROFILE"
 PROGRESS_ENV = "REPRO_PROGRESS"
@@ -86,8 +81,7 @@ class Profiler:
     flamegraph's total width reflects attributed time only.
 
     The profiler never samples Python frames — span stacks are the unit
-    of attribution, which keeps sampling O(open spans) and makes worker
-    merging exact (worker span records carry the same names).
+    of attribution, which keeps sampling O(open spans).
     """
 
     def __init__(
@@ -145,59 +139,6 @@ class Profiler:
                     self.samples[names] = self.samples.get(names, 0) + 1
                 else:
                     self.idle_samples += 1
-
-    # -- merging ------------------------------------------------------------
-
-    def merge_folded(
-        self, folded: dict[tuple[str, ...], int], prefix: tuple[str, ...] = ()
-    ) -> None:
-        """Fold another profiler's samples in, nesting under ``prefix``."""
-        with self._lock:
-            for names, count in folded.items():
-                key = prefix + tuple(names)
-                self.samples[key] = self.samples.get(key, 0) + count
-                self.total_samples += count
-
-    def ingest_spans(
-        self, records: list[SpanRecord], prefix: tuple[str, ...] = ()
-    ) -> None:
-        """Attribute adopted worker spans as samples.
-
-        Worker processes run in their own address space, so the parent's
-        sampler thread never sees them; their span records — the same
-        payload :meth:`Tracer.adopt` merges — are converted here instead.
-        Each span's *self* time (duration minus child durations) becomes
-        ``round(self_time / interval)`` samples on its stack path,
-        floored at one sample per span so sub-interval solves remain
-        visible rather than vanishing (a deliberate, documented bias
-        toward completeness over width-exactness for tiny frames).
-        """
-        if not records:
-            return
-        by_id = {r.id: r for r in records}
-        child_us: dict[int, float] = {}
-        for rec in records:
-            if rec.parent_id in by_id:
-                child_us[rec.parent_id] = child_us.get(rec.parent_id, 0.0) + rec.dur_us
-
-        def path(rec: SpanRecord) -> tuple[str, ...]:
-            names: list[str] = []
-            cur: SpanRecord | None = rec
-            while cur is not None:
-                names.append(cur.name)
-                cur = by_id.get(cur.parent_id)
-            return tuple(reversed(names))
-
-        interval_us = self.interval_s * 1e6
-        folded: dict[tuple[str, ...], int] = {}
-        for rec in records:
-            self_us = rec.dur_us - child_us.get(rec.id, 0.0)
-            if self_us <= 0:
-                continue
-            count = max(1, round(self_us / interval_us))
-            key = path(rec)
-            folded[key] = folded.get(key, 0) + count
-        self.merge_folded(folded, prefix=prefix)
 
     # -- output -------------------------------------------------------------
 

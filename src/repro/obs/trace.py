@@ -1,9 +1,8 @@
 """Hierarchical span tracing with Chrome ``trace_event`` export.
 
 The tracer is the single timing substrate of the flow: engine stages,
-per-subgraph ILP solves (including those running inside
-``ProcessPoolExecutor`` workers), timer retimes, and ECO recomposes all
-open *spans* — nested, thread-safe intervals carrying a category and a
+per-subgraph ILP solves, timer retimes, and ECO recomposes all open
+*spans* — nested, thread-safe intervals carrying a category and a
 small dict of args.  A finished run exports directly to Chrome's
 ``trace_event`` JSON (:meth:`Tracer.write_chrome_trace`), so traces open
 in Perfetto / ``chrome://tracing`` without conversion.
@@ -18,12 +17,6 @@ Design constraints:
 * **Thread-safe.**  The active-span stack is thread-local, so spans
   opened on different threads nest independently; the finished-record
   list is guarded by a lock.
-* **Process-mergeable.**  Workers trace into their own
-  :class:`Tracer` (sharing the parent's ``perf_counter`` epoch — on
-  Linux ``CLOCK_MONOTONIC`` is system-wide, so timestamps line up) and
-  ship their records back with the result; :meth:`Tracer.adopt` remaps
-  span ids and re-parents the worker's root spans under the caller's
-  current span.
 """
 
 from __future__ import annotations
@@ -38,7 +31,7 @@ from dataclasses import dataclass, field
 
 @dataclass
 class SpanRecord:
-    """One finished span.  Picklable: workers return lists of these."""
+    """One finished span."""
 
     id: int
     parent_id: int | None
@@ -124,13 +117,12 @@ class Tracer:
     """Collects spans for one run.
 
     ``epoch`` is the ``time.perf_counter()`` origin all timestamps are
-    relative to; pass the parent's epoch into worker-side tracers so the
-    merged timeline is consistent.
+    relative to: the moment the tracer was created.
     """
 
-    def __init__(self, enabled: bool = True, epoch: float | None = None) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.epoch = time.perf_counter() if epoch is None else epoch
+        self.epoch = time.perf_counter()
         self._records: list[SpanRecord] = []
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
@@ -157,14 +149,6 @@ class Tracer:
                 self._thread_stacks[threading.get_ident()] = stack
         return stack
 
-    def current_span_id(self) -> int | None:
-        stack = self._stack()
-        return stack[-1][0] if stack else None
-
-    def current_stack_names(self) -> tuple[str, ...]:
-        """The calling thread's open span names, outermost first."""
-        return tuple(name for _, name in self._stack())
-
     def active_stacks(self) -> dict[int, tuple[str, ...]]:
         """Snapshot of every thread's live span-name stack.
 
@@ -188,40 +172,6 @@ class Tracer:
         with self._lock:
             return list(self._records)
 
-    def adopt(self, records: list[SpanRecord], parent_id: int | None = None) -> None:
-        """Merge spans captured elsewhere (typically a worker process).
-
-        Every record gets a fresh id from this tracer (worker ids would
-        collide across workers); internal parent links are preserved, and
-        the foreign roots are re-parented under ``parent_id`` (default:
-        the calling thread's current span), so worker activity nests
-        inside the stage that fanned it out.
-        """
-        if not records:
-            return
-        if parent_id is None:
-            parent_id = self.current_span_id()
-        remap: dict[int, int] = {}
-        for rec in records:
-            remap[rec.id] = next(self._ids)
-        adopted = []
-        for rec in records:
-            adopted.append(
-                SpanRecord(
-                    id=remap[rec.id],
-                    parent_id=remap.get(rec.parent_id, parent_id),
-                    name=rec.name,
-                    cat=rec.cat,
-                    start_us=rec.start_us,
-                    dur_us=rec.dur_us,
-                    pid=rec.pid,
-                    tid=rec.tid,
-                    args=rec.args,
-                )
-            )
-        with self._lock:
-            self._records.extend(adopted)
-
     # -- reporting ----------------------------------------------------------
 
     def rollup(self) -> dict[str, dict[str, float]]:
@@ -237,26 +187,22 @@ class Tracer:
     def to_chrome_trace(self) -> dict:
         """The run as a Chrome ``trace_event`` object (Perfetto-loadable).
 
-        Every span becomes a complete (``ph: "X"``) event; per-process
-        metadata events label worker processes so parallel ILP solves show
-        up as their own tracks.
+        Every span becomes a complete (``ph: "X"``) event, after one
+        metadata event naming the process.
         """
+        records = self.records()
         events: list[dict] = []
-        own_pid = os.getpid()
-        seen_pids: set[int] = set()
-        for rec in self.records():
-            if rec.pid not in seen_pids:
-                seen_pids.add(rec.pid)
-                label = "repro" if rec.pid == own_pid else f"repro worker {rec.pid}"
-                events.append(
-                    {
-                        "ph": "M",
-                        "name": "process_name",
-                        "pid": rec.pid,
-                        "tid": 0,
-                        "args": {"name": label},
-                    }
-                )
+        if records:
+            events.append(
+                {
+                    "ph": "M",
+                    "name": "process_name",
+                    "pid": records[0].pid,
+                    "tid": 0,
+                    "args": {"name": "repro"},
+                }
+            )
+        for rec in records:
             events.append(
                 {
                     "name": rec.name,
@@ -294,9 +240,9 @@ def set_tracer(tracer: Tracer | None) -> Tracer | None:
     return prev
 
 
-def install_tracer(enabled: bool = True, epoch: float | None = None) -> Tracer:
+def install_tracer(enabled: bool = True) -> Tracer:
     """Create and install a fresh tracer (the common run-scoped setup)."""
-    tracer = Tracer(enabled=enabled, epoch=epoch)
+    tracer = Tracer(enabled=enabled)
     set_tracer(tracer)
     return tracer
 

@@ -21,7 +21,7 @@ from repro.bench import generate_design, preset
 from repro.core.composer import ComposerConfig
 from repro.check.invariants import check_all, format_violations
 from repro.flow.session import EcoSession, shared_session_cache
-from repro.geometry import Point, last_origin
+from repro.geometry import Point, clamp_to_die
 from repro.library import default_library
 from repro.serve.protocol import ERR_BAD_REQUEST, JobError, JobRequest
 
@@ -187,7 +187,10 @@ class DesignRegistry:
                         ERR_BAD_REQUEST,
                         f"unknown or non-register cell {move.get('cell')!r}",
                     )
-                x, y = _clamp_to_die(design, cell, float(move["x"]), float(move["y"]))
+                lc = cell.libcell
+                x, y = clamp_to_die(
+                    design.die, lc.width, lc.height, float(move["x"]), float(move["y"])
+                )
                 with session.edit():
                     design.move_cell(cell, Point(x, y))
                 applied += 1
@@ -207,9 +210,10 @@ class DesignRegistry:
                 if not movable:
                     break
                 cell = rng.choice(movable)
-                x, y = _clamp_to_die(
-                    design,
-                    cell,
+                x, y = clamp_to_die(
+                    design.die,
+                    cell.libcell.width,
+                    cell.libcell.height,
                     cell.origin.x + rng.uniform(-radius, radius),
                     cell.origin.y + rng.uniform(-radius, radius),
                 )
@@ -255,12 +259,3 @@ def _digest(value) -> str:
     import hashlib
 
     return hashlib.sha256(repr(value).encode()).hexdigest()
-
-
-def _clamp_to_die(design, cell, x: float, y: float) -> tuple[float, float]:
-    """Clamp a requested origin so the cell's footprint stays on the die."""
-    die = design.die
-    lib = cell.libcell
-    x = min(max(die.xlo, x), last_origin(die.xhi, lib.width))
-    y = min(max(die.ylo, y), last_origin(die.yhi, lib.height))
-    return x, y

@@ -13,12 +13,10 @@ one in-flight job per design at a time:
   a saturated server can still be observed.
 * **Ordering**: each design has a FIFO queue drained by one worker
   coroutine; jobs for the same design serialize in *submission order*,
-  jobs for different designs overlap on the thread pool (and further fan
-  out across the existing ``ProcessPoolExecutor`` of the solve stage
-  when ``ComposerConfig.workers > 1``).  ``submit`` enqueues
-  synchronously before its first ``await`` — callers that submit in a
-  deterministic order get deterministic per-design execution order,
-  which is what makes concurrent serving bit-identical to serial.
+  jobs for different designs overlap on the thread pool.  ``submit``
+  enqueues synchronously before its first ``await`` — callers that
+  submit in a deterministic order get deterministic per-design execution
+  order, which is what makes concurrent serving bit-identical to serial.
 * **Faults**: a handler exception fails that job only (typed
   ``job_failed`` response); the worker, the session, and the queue keep
   going.
@@ -259,7 +257,6 @@ class ComposeServer:
             config={
                 "queue_depth": self.queue_depth,
                 "threads": self._threads,
-                "composer_workers": self.registry.config.workers,
             },
             flow=self.stats(),
         )

@@ -53,7 +53,7 @@ def optimal_skew(d_slack: float, q_slack: float, window: float) -> float:
 def assign_useful_skew(
     timer: Timer,
     cells: list[Cell],
-    window: float = 0.2,
+    window: float = 0.05,
     iterations: int = 2,
 ) -> SkewAssignment:
     """Assign useful-skew offsets to ``cells`` and apply them to the timer.

@@ -4,7 +4,6 @@ Every fast path in the repo promises bit-identical results to a slow
 reference; these properties hammer that promise over generated designs
 and edit sequences instead of hand-picked fixtures:
 
-* parallel per-subgraph ILP solving == the serial path;
 * incremental (dirty-cone) STA == a fresh timer rebuild;
 * ``EcoSession.recompose`` == from-scratch ``compose_design``;
 * compose then decompose preserves per-bit register connectivity;
@@ -30,7 +29,6 @@ from repro.check import (  # noqa: E402
     assert_clean,
     bit_connectivity_signature,
     compare_session_to_reference,
-    diff_serial_vs_parallel,
     diff_timer_vs_fresh,
     scratch_compose,
 )
@@ -60,17 +58,6 @@ def _session_world(spec) -> EditWorld:
     session = EcoSession(bundle.design, bundle.timer, bundle.scan_model)
     session.recompose()
     return EditWorld(session)
-
-
-@given(spec=design_specs())
-def test_parallel_compose_matches_serial(spec):
-    """Fanning subproblems over a process pool changes nothing."""
-
-    def make_world():
-        bundle = build_bundle(spec)
-        return bundle.design, bundle.timer, bundle.scan_model
-
-    assert_clean(diff_serial_vs_parallel(make_world, workers=2))
 
 
 @given(spec=design_specs(), edits=edit_sequences(max_size=6))

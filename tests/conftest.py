@@ -163,8 +163,8 @@ def compose_recording_specs(design: Design, timer, **kwargs):
     solved = []
     real = composer.solve_subproblems
 
-    def recording(specs, workers=1):
-        results = real(specs, workers=workers)
+    def recording(specs):
+        results = real(specs)
         solved.extend(zip(specs, results))
         return results
 

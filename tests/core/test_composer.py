@@ -7,7 +7,7 @@ import pytest
 import repro.core.subproblem as subproblem
 from repro.bench import generate_design, preset
 from repro.check import check_design, grouping_signature
-from repro.core.composer import compose_design
+from repro.core.composer import ComposerConfig, compose_design
 from repro.core.heuristic import compose_design_heuristic
 from repro.core.sizing import size_registers
 from repro.ilp import scipy_available, solve_set_partition, solve_set_partition_scipy
@@ -58,6 +58,22 @@ class TestComposeRow:
         assert "ff1" in d.cells
         for group in res.composed:
             assert "ff1" not in group.members
+
+    def test_workers_keyword_accepts_only_one(self, lib):
+        # Every subgraph ILP solves in-process: workers=1 is accepted, any
+        # other width is refused before the design is touched.
+        d = make_flop_row(lib, n_flops=4, spacing=2.0, name="w1")
+        res = compose_design(d, Timer(d, clock_period=10.0), None, workers=1)
+        assert res.register_reduction == 3
+        d2 = make_flop_row(lib, n_flops=4, spacing=2.0, name="w2")
+        with pytest.raises(ValueError, match="workers=2"):
+            compose_design(d2, Timer(d2, clock_period=10.0), None, workers=2)
+        assert d2.total_register_count() == 4
+        # The config is a plain dataclass: a stray ``workers`` attribute
+        # set by such callers is accepted and ignored.
+        config = ComposerConfig()
+        config.workers = 1
+        assert "workers" not in repr(config)
 
     @pytest.mark.skipif(not scipy_available(), reason="SciPy not installed")
     def test_scipy_solver_equivalent_objective(self, lib):

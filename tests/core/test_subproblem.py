@@ -1,4 +1,4 @@
-"""Tests for the pure, picklable solve-stage subproblems."""
+"""Tests for the pure solve-stage subproblems."""
 
 import pickle
 
@@ -91,37 +91,14 @@ class TestScipyOptionality:
         assert not res.optimal
 
 
-class TestFanOut:
-    def test_serial_and_parallel_identical(self):
+class TestSolveAll:
+    def test_results_follow_spec_order(self):
         specs = [_spec(index=i) for i in range(6)]
-        serial = solve_subproblems(specs, workers=1)
-        parallel = solve_subproblems(specs, workers=2)
-        assert serial == parallel
-        assert [r.index for r in parallel] == list(range(6))
+        results = solve_subproblems(specs)
+        assert results == [solve_subproblem(s) for s in specs]
+        assert [r.index for r in results] == list(range(6))
 
     def test_empty_and_single_spec_paths(self):
-        assert solve_subproblems([], workers=4) == []
-        [res] = solve_subproblems([_spec()], workers=4)
+        assert solve_subproblems([]) == []
+        [res] = solve_subproblems([_spec()])
         assert isinstance(res, SubproblemResult)
-
-    def test_serial_and_parallel_metrics_snapshots_identical(self):
-        # Worker snapshot merging must be invisible: the parent registry
-        # after a pooled run equals a serial run field-by-field, with int
-        # counters staying ints through the snapshot/merge round-trip.
-        from repro import obs
-
-        specs = [_spec(index=i) for i in range(4)]
-        snapshots = {}
-        for label, workers in (("serial", 1), ("parallel", 2)):
-            prev = obs.set_registry(obs.MetricsRegistry())
-            try:
-                solve_subproblems(specs, workers=workers)
-                snapshots[label] = obs.get_registry().snapshot()
-            finally:
-                obs.set_registry(prev)
-        serial, parallel = snapshots["serial"], snapshots["parallel"]
-        assert serial == parallel
-        assert serial["counters"]  # the solves actually counted something
-        for section in ("counters", "gauges"):
-            for name, value in serial[section].items():
-                assert type(value) is type(parallel[section][name]), name

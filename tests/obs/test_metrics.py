@@ -78,86 +78,6 @@ class TestRegistrySnapshotMerge:
         assert list(snap["counters"]) == ["a", "b"]
         json.dumps(snap)  # must not raise
 
-    def test_merge_adds_counters_and_histograms(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("n").inc(2)
-        b.counter("n").inc(3)
-        b.counter("only_b").inc(1)
-        a.histogram("h", (1, 10)).observe(5)
-        b.histogram("h", (1, 10)).observe(50)
-        b.gauge("g").set(9)
-        a.merge(b.snapshot())
-        snap = a.snapshot()
-        assert snap["counters"]["n"] == 5
-        assert isinstance(snap["counters"]["n"], int)
-        assert snap["counters"]["only_b"] == 1
-        assert snap["gauges"]["g"] == 9
-        h = snap["histograms"]["h"]
-        assert h["count"] == 2 and h["sum"] == 55
-
-    def test_merge_rejects_bucket_mismatch(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h", (1, 10)).observe(1)
-        b.histogram("h", (1, 100)).observe(1)
-        with pytest.raises(ValueError, match="bucket mismatch"):
-            a.merge(b.snapshot())
-
-    def test_merge_is_deterministic_serial_vs_parallel(self):
-        # The property solve_subproblems relies on: folding N worker
-        # snapshots equals counting everything in one registry.
-        whole = MetricsRegistry()
-        merged = MetricsRegistry()
-        for chunk in ((1, 2), (3,), (4, 5, 6)):
-            worker = MetricsRegistry()
-            for v in chunk:
-                whole.counter("solves").inc()
-                whole.histogram("nodes", (2, 4)).observe(v)
-                worker.counter("solves").inc()
-                worker.histogram("nodes", (2, 4)).observe(v)
-            merged.merge(worker.snapshot())
-        assert merged.snapshot() == whole.snapshot()
-
-    def test_merge_preserves_int_counter_type(self):
-        # Worker snapshots of int counters must not float-promote on the
-        # way through merge — the manifest's effort counters stay ints.
-        parent = MetricsRegistry()
-        parent.counter("ilp.nodes").inc(10)
-        for _ in range(3):
-            worker = MetricsRegistry()
-            worker.counter("ilp.nodes").inc(7)
-            parent.merge(worker.snapshot())
-        value = parent.snapshot()["counters"]["ilp.nodes"]
-        assert value == 31
-        assert isinstance(value, int) and not isinstance(value, bool)
-
-    def test_merge_promotes_float_counters(self):
-        parent = MetricsRegistry()
-        worker = MetricsRegistry()
-        worker.counter("seconds").inc(0.25)
-        parent.merge(worker.snapshot())
-        parent.merge(worker.snapshot())
-        value = parent.snapshot()["counters"]["seconds"]
-        assert value == pytest.approx(0.5)
-        assert isinstance(value, float)
-
-    def test_merge_type_fidelity_field_by_field(self):
-        # Serial counting and merged worker snapshots must agree not just
-        # numerically but on the Python types of every field.
-        whole, merged = MetricsRegistry(), MetricsRegistry()
-        for chunk in ((1, 2), (3,)):
-            worker = MetricsRegistry()
-            for v in chunk:
-                for reg in (whole, worker):
-                    reg.counter("ints").inc(v)
-                    reg.counter("floats").inc(v / 2)
-                    reg.gauge("last").set(v)
-            merged.merge(worker.snapshot())
-        a, b = whole.snapshot(), merged.snapshot()
-        assert a == b
-        for section in ("counters", "gauges"):
-            for name in a[section]:
-                assert type(a[section][name]) is type(b[section][name]), name
-
     def test_reset(self):
         reg = MetricsRegistry()
         reg.counter("n").inc()

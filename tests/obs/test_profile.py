@@ -15,7 +15,7 @@ from repro.obs.profile import (
     profile_env_enabled,
     progress_env_enabled,
 )
-from repro.obs.trace import SpanRecord, Tracer
+from repro.obs.trace import Tracer
 
 
 @pytest.fixture(autouse=True)
@@ -30,13 +30,6 @@ def _clean_obs():
     for stale in (obs.set_profiler(prev_profiler), obs.set_heartbeat(prev_heartbeat)):
         if stale is not None:
             stale.stop()
-
-
-def _rec(id, parent_id, name, dur_us, start_us=0.0):
-    return SpanRecord(
-        id=id, parent_id=parent_id, name=name, cat="x",
-        start_us=start_us, dur_us=dur_us, pid=1, tid=1,
-    )
 
 
 class TestProfilerConstruction:
@@ -101,55 +94,14 @@ class TestSampling:
         assert prof.samples.get(("busy",), 0) >= 1
 
 
-class TestIngestSpans:
-    def test_self_time_quantized_to_interval(self):
-        tracer = obs.install_tracer()
-        prof = Profiler(tracer=tracer, interval_s=0.001)  # 1000 us/sample
-        records = [
-            _rec(1, None, "root", dur_us=5000.0),
-            _rec(2, 1, "child", dur_us=2000.0),
-        ]
-        prof.ingest_spans(records)
-        # root self = 5000-2000 = 3000us -> 3 samples; child = 2000us -> 2.
-        assert prof.samples == {("root",): 3, ("root", "child"): 2}
-        assert prof.total_samples == 5
-
-    def test_sub_interval_span_floors_at_one_sample(self):
-        tracer = obs.install_tracer()
-        prof = Profiler(tracer=tracer, interval_s=0.001)
-        prof.ingest_spans([_rec(1, None, "tiny", dur_us=3.0)])
-        assert prof.samples == {("tiny",): 1}
-
-    def test_prefix_nests_worker_under_fanout_site(self):
-        tracer = obs.install_tracer()
-        prof = Profiler(tracer=tracer, interval_s=0.001)
-        prof.ingest_spans(
-            [_rec(1, None, "ilp.solve", dur_us=1500.0)],
-            prefix=("flow.run", "stage.solve"),
-        )
-        assert prof.samples == {("flow.run", "stage.solve", "ilp.solve"): 2}
-
-    def test_zero_self_time_span_skipped(self):
-        tracer = obs.install_tracer()
-        prof = Profiler(tracer=tracer, interval_s=0.001)
-        records = [
-            _rec(1, None, "wrapper", dur_us=1000.0),
-            _rec(2, 1, "all_of_it", dur_us=1000.0),
-        ]
-        prof.ingest_spans(records)
-        assert ("wrapper",) not in prof.samples
-        assert prof.samples[("wrapper", "all_of_it")] == 1
-
-    def test_empty_records_noop(self):
-        prof = Profiler(tracer=obs.install_tracer())
-        prof.ingest_spans([])
-        assert prof.total_samples == 0
-
-
 class TestFoldedOutput:
     def test_folded_format_and_write(self, tmp_path):
         prof = Profiler(tracer=obs.install_tracer())
-        prof.merge_folded({("a", "b"): 3, ("a",): 1})
+        with obs.span("a"):
+            prof.sample_once()
+            with obs.span("b"):
+                for _ in range(3):
+                    prof.sample_once()
         text = prof.folded()
         assert "a 1\n" in text and "a;b 3\n" in text
         out = tmp_path / "p.folded"
@@ -318,7 +270,7 @@ class TestPipelineIntegration:
         obs.set_heartbeat(hb)
         hb.run_started(["solve"])
         hb.stage_started("solve")
-        solve_subproblems([_spec(index=i) for i in range(3)], workers=1)
+        solve_subproblems([_spec(index=i) for i in range(3)])
         event = hb.beat()
         assert event["done"] == 3 and event["total"] == 3
         assert event["unit"] == "subproblems"

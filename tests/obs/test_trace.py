@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from repro import obs
-from repro.obs.trace import NULL_SPAN, SpanRecord, Tracer
+from repro.obs.trace import NULL_SPAN, Tracer
 
 
 @pytest.fixture(autouse=True)
@@ -85,117 +85,15 @@ class TestNesting:
         assert by_name["t2"].parent_id is None
 
 
-class TestAdopt:
-    def _worker_records(self, epoch):
-        worker = Tracer(epoch=epoch)
-        prev = obs.set_tracer(worker)
-        try:
-            with worker.span("ilp.solve", cat="ilp", idx=0):
-                with worker.span("inner", cat="ilp"):
-                    pass
-        finally:
-            obs.set_tracer(prev)
-        return worker.records()
-
-    def test_adopt_remaps_and_reparents(self):
-        tracer = obs.install_tracer()
-        with obs.span("stage.solve", cat="stage") as _:
-            stage_id = tracer.current_span_id()
-            tracer.adopt(self._worker_records(tracer.epoch))
-        by_name = {r.name: r for r in tracer.records()}
-        # Worker root re-parented under the caller's current span; the
-        # worker-internal link is preserved through the id remap.
-        assert by_name["ilp.solve"].parent_id == stage_id
-        assert by_name["inner"].parent_id == by_name["ilp.solve"].id
-        ids = [r.id for r in tracer.records()]
-        assert len(ids) == len(set(ids))
-
-    def test_adopt_explicit_parent_and_empty(self):
-        tracer = obs.install_tracer()
-        tracer.adopt([])  # no-op
-        recs = [
-            SpanRecord(
-                id=7, parent_id=None, name="w", cat="x",
-                start_us=0.0, dur_us=1.0, pid=1, tid=1,
-            )
-        ]
-        tracer.adopt(recs, parent_id=None)
-        assert tracer.records()[0].parent_id is None
-
-    def test_out_of_order_adoption_preserves_epoch_and_ids(self):
-        # Workers complete in any order; the fan-in adopts whichever
-        # finishes first.  Adopting the later-spawned worker's records
-        # before the earlier one's must not disturb timestamps (all
-        # workers share the parent's epoch) nor collide remapped ids.
-        tracer = obs.install_tracer()
-
-        def worker(idx, t0_us):
-            rec = SpanRecord(
-                id=1, parent_id=None, name=f"ilp.solve.{idx}", cat="ilp",
-                start_us=t0_us, dur_us=50.0, pid=1000 + idx, tid=1,
-            )
-            inner = SpanRecord(
-                id=2, parent_id=1, name="inner", cat="ilp",
-                start_us=t0_us + 10.0, dur_us=20.0, pid=1000 + idx, tid=1,
-            )
-            return [rec, inner]
-
-        batches = [worker(0, 100.0), worker(1, 200.0), worker(2, 300.0)]
-        with obs.span("stage.solve", cat="stage"):
-            stage_id = tracer.current_span_id()
-            for records in (batches[2], batches[0], batches[1]):
-                tracer.adopt(records)
-        recs = tracer.records()
-        ids = [r.id for r in recs]
-        assert len(ids) == len(set(ids))
-        by_name = {r.name: r for r in recs}
-        for idx, start in ((0, 100.0), (1, 200.0), (2, 300.0)):
-            root = by_name[f"ilp.solve.{idx}"]
-            # Epoch-anchored timestamps survive adoption untouched.
-            assert root.start_us == start
-            assert root.parent_id == stage_id
-        # Each worker root gets its own 'inner' child, correctly linked.
-        inners = [r for r in recs if r.name == "inner"]
-        assert sorted(r.parent_id for r in inners) == sorted(
-            by_name[f"ilp.solve.{i}"].id for i in range(3)
-        )
-
-    def test_out_of_order_adoption_exports_valid_chrome_trace(self):
-        from repro.obs.analyze import build_span_forest, validate_chrome_trace
-
-        tracer = obs.install_tracer()
-        late = [
-            SpanRecord(
-                id=1, parent_id=None, name="w.late", cat="ilp",
-                start_us=500.0, dur_us=50.0, pid=222, tid=1,
-            )
-        ]
-        early = [
-            SpanRecord(
-                id=1, parent_id=None, name="w.early", cat="ilp",
-                start_us=100.0, dur_us=50.0, pid=111, tid=1,
-            )
-        ]
-        with obs.span("stage.solve", cat="stage"):
-            tracer.adopt(late)
-            tracer.adopt(early)
-        data = tracer.to_chrome_trace()
-        assert validate_chrome_trace(data) == []
-        roots = {r.name for r in build_span_forest(data)}
-        # Worker spans live on their own (pid, tid) tracks, so each is a
-        # root of its own tree next to the parent's stage span.
-        assert roots == {"stage.solve", "w.late", "w.early"}
-
-
 class TestActiveStacks:
     def test_current_stack_names(self):
-        obs.install_tracer()
-        tracer = obs.get_tracer()
-        assert tracer.current_stack_names() == ()
+        tracer = obs.install_tracer()
+        me = threading.get_ident()
         with obs.span("a"):
             with obs.span("b"):
-                assert tracer.current_stack_names() == ("a", "b")
-            assert tracer.current_stack_names() == ("a",)
+                assert tracer.active_stacks()[me] == ("a", "b")
+            assert tracer.active_stacks()[me] == ("a",)
+        assert tracer.active_stacks()[me] == ()
 
     def test_active_stacks_sees_other_threads(self):
         tracer = obs.install_tracer()
@@ -237,21 +135,6 @@ class TestChromeExport:
         tracer.write_chrome_trace(str(path))
         reloaded = json.loads(path.read_text())
         assert len(reloaded["traceEvents"]) == len(events)
-
-    def test_foreign_pid_labelled_as_worker(self):
-        tracer = obs.install_tracer()
-        tracer.adopt(
-            [
-                SpanRecord(
-                    id=1, parent_id=None, name="w", cat="ilp",
-                    start_us=0.0, dur_us=1.0, pid=99999, tid=1,
-                )
-            ]
-        )
-        meta = [
-            e for e in tracer.to_chrome_trace()["traceEvents"] if e["ph"] == "M"
-        ]
-        assert any(e["args"]["name"] == "repro worker 99999" for e in meta)
 
 
 class TestRollup:

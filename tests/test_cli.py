@@ -52,14 +52,13 @@ class TestCli:
         assert out_prefix.with_suffix(".v").exists()
         assert out_prefix.with_suffix(".def").exists()
 
-    def test_compose_trace_and_workers(self, generated, capsys):
+    def test_compose_trace(self, generated, capsys):
         rc = main([
             "compose",
             "--lib", str(generated) + ".lib",
             "--verilog", str(generated) + ".v",
             "--def", str(generated) + ".def",
             "--period", "0.5",
-            "--workers", "2",
             "--trace",
         ])
         assert rc == 0
@@ -67,7 +66,7 @@ class TestCli:
         # The stage-runtime table and the nested trace both print.
         assert "Total(s)" in out
         assert "base-metrics" in out and "compose" in out
-        assert "solve" in out and "workers=2" in out
+        assert "solve" in out and "subproblems=" in out
 
     def test_compose_heuristic_mode(self, generated, capsys):
         rc = main([
@@ -103,6 +102,32 @@ class TestCli:
         assert out.count("[audit ok]") == 3
         assert "components" in out and "recomputed" in out
 
+    def test_eco_moves_stay_on_the_die(self, monkeypatch, capsys):
+        # D1 at scale 0.4 has a 71.3 um die, and 71.3 - 6.68 rounds up: a
+        # 4-bit X1 register clamped to it would end past the edge.  Moves
+        # of up to 1000 um push registers against every die edge.
+        import repro.cli as cli
+        from repro.check import check_design
+
+        real_generate = cli.generate_design
+        bundles = []
+
+        def generate(*args, **kwargs):
+            bundles.append(real_generate(*args, **kwargs))
+            return bundles[-1]
+
+        monkeypatch.setattr(cli, "generate_design", generate)
+        rc = main([
+            "eco", "--preset", "D1", "--scale", "0.4",
+            "--moves", "20", "--radius", "1000", "--seed", "9",
+        ])
+        assert rc == 0
+        [bundle] = bundles
+        outside = [
+            v for v in check_design(bundle.design) if v.check == "cell-outside-die"
+        ]
+        assert outside == []
+
     def test_missing_required_args(self):
         with pytest.raises(SystemExit):
             main(["compose", "--period", "1.0"])
@@ -124,7 +149,6 @@ class TestObservability:
             "run",
             "--preset", "D1",
             "--scale", "0.1",
-            "--workers", "2",
             "--trace-out", str(trace_out),
             "--manifest-out", str(manifest_out),
         ])
@@ -140,10 +164,8 @@ class TestObservability:
         assert "flow.run" in names
         assert "stage.solve" in names
         assert "ilp.solve" in names
-        # Parallel ILP workers contribute spans from their own processes.
-        assert len({e["pid"] for e in events}) > 1
-        # Worker ilp.solve spans nest under the parent's timeline
-        # (adopted, not floating): every event has valid ts/dur.
+        # Every ILP solves in this process, on its one track.
+        assert len({e["pid"] for e in events}) == 1
         assert all(e["dur"] >= 0 for e in spans)
 
         manifest = json.loads(manifest_out.read_text())
@@ -286,19 +308,15 @@ class TestPerformanceIntelligence:
             if stale is not None:
                 stale.stop()
 
-    def test_run_profile_writes_folded_with_worker_samples(
-        self, tmp_path, capsys
-    ):
-        # The acceptance criterion: a profiled parallel run produces a
-        # non-empty folded profile whose stacks include the compose stage
-        # and the worker ILP solves merged under the fan-out site.
+    def test_run_profile_writes_folded_stacks(self, tmp_path, capsys):
+        # A profiled run produces a non-empty folded profile whose stacks
+        # include the compose stage.
         folded_out = tmp_path / "out.folded"
         manifest_out = tmp_path / "m.json"
         rc = main([
             "run",
             "--preset", "D1",
             "--scale", "0.1",
-            "--workers", "2",
             "--profile", str(folded_out),
             "--manifest-out", str(manifest_out),
         ])
@@ -313,10 +331,6 @@ class TestPerformanceIntelligence:
             stacks[frames] = int(count)
             assert int(count) >= 1
         assert any("stage.compose" in frames for frames in stacks)
-        # Worker ilp.solve samples nest under the parent solve stage.
-        assert any(
-            "stage.solve;ilp.solve" in frames for frames in stacks
-        )
 
         # The same run's manifest archives resources and progress.
         manifest = json.loads(manifest_out.read_text())
