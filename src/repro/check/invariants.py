@@ -223,13 +223,22 @@ def check_design(design: Design) -> list[Violation]:
 # ---------------------------------------------------------------------------
 
 
+_GRAPH_CHECKS = {
+    "arcs": "timer-graph-arcs",
+    "seeds": "timer-graph-seeds",
+    "refcounts": "timer-node-refcounts",
+}
+
+
 def check_timing(timer: Timer) -> list[Violation]:
     """Invariants of the (possibly incrementally patched) timer.
 
-    * the cached graph matches a from-scratch :class:`TimingGraph` build:
-      same arc multiset, same launch/capture/port seeds, same launch
-      delays, and node refcounts in agreement (nodes retire exactly when
-      their last arc or seed role disappears), all keyed by terminal id;
+    * the cached graph matches a from-scratch :class:`TimingGraph` build
+      (:meth:`TimingGraph.differences`, the comparison the timer's audit
+      runs too): same alive arc rows, same launch/capture/port seeds, same
+      launch delays, and node refcounts in agreement (nodes retire exactly
+      when their last arc or seed role disappears), all keyed by terminal
+      id;
     * no skew entry dangles on a cell missing from the design;
     * summary consistency: TNS equals the sum of negative endpoint
       slacks, WNS the minimum slack, and the failing count the number of
@@ -249,56 +258,8 @@ def check_timing(timer: Timer) -> list[Violation]:
             )
 
     g = timer.graph  # builds fresh if nothing is cached — then trivially equal
-    fresh = TimingGraph(design, timer.tech)
-    live_arcs, fresh_arcs = g.arc_multiset(), fresh.arc_multiset()
-    if live_arcs != fresh_arcs:
-        out.append(
-            Violation(
-                "timer-graph-arcs",
-                f"design {design.name}",
-                f"patched graph has {sum(live_arcs.values())} arcs, a fresh "
-                f"build has {sum(fresh_arcs.values())}; "
-                f"{len(set(live_arcs) ^ set(fresh_arcs))} arc keys differ",
-            )
-        )
-    for label, live_map, fresh_map in (
-        ("launch pins", g.launch_by_id, fresh.launch_by_id),
-        ("capture pins", g.capture_by_id, fresh.capture_by_id),
-        ("input ports", g.input_ports, fresh.input_ports),
-        ("output ports", g.output_ports, fresh.output_ports),
-    ):
-        if live_map != fresh_map:
-            out.append(
-                Violation(
-                    "timer-graph-seeds",
-                    f"design {design.name}",
-                    f"{label} differ from a fresh build "
-                    f"({len(live_map)} vs {len(fresh_map)})",
-                )
-            )
-    if g.launch_delay != fresh.launch_delay:
-        out.append(
-            Violation(
-                "timer-graph-seeds",
-                f"design {design.name}",
-                "launch delays differ from a fresh build",
-            )
-        )
-    if g._refs != fresh._refs:
-        diff = {
-            tid
-            for tid in g._refs.keys() | fresh._refs.keys()
-            if g._refs.get(tid) != fresh._refs.get(tid)
-        }
-        names = sorted(design.store.terminal_name(tid) for tid in diff)
-        out.append(
-            Violation(
-                "timer-node-refcounts",
-                f"design {design.name}",
-                f"{len(diff)} node refcount(s) disagree with a fresh build: "
-                + ", ".join(names[:8]),
-            )
-        )
+    for part, detail in g.differences(TimingGraph(design, timer.tech)):
+        out.append(Violation(_GRAPH_CHECKS[part], f"design {design.name}", detail))
 
     for mode, slacks, summary in (
         ("setup", timer.endpoint_slacks(), timer.summary()),

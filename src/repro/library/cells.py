@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.library.functional import FunctionalClass, ResetKind, ScanStyle
+from repro.library.functional import FunctionalClass, ScanStyle
 
 
 class PinDirection(enum.Enum):

@@ -20,7 +20,7 @@ from repro.geometry.rect import Rect
 from repro.library.cells import LibCell, PinDirection
 from repro.library.library import CellLibrary
 from repro.netlist.change import ChangeTracker
-from repro.netlist.db import Cell, Net, Pin, Port, Terminal, _DetachedPin
+from repro.netlist.db import Cell, Net, Port, Terminal, _DetachedPin
 from repro.netlist.store import NO_ID, NetlistStore
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.library.functional import ScanStyle
-from repro.netlist.db import Cell
 from repro.netlist.design import Design
 from repro.netlist.registers import RegisterView
 

@@ -14,6 +14,13 @@ giving the quantities the composition flow consumes:
 
 Clocks are ideal plus an explicit per-register skew map: composition runs
 before CTS, exactly as in the paper's flow (Fig. 4).
+
+:class:`TimingGraph` (``sta/graph.py``) holds every arc once, as a row of
+``src``/``dst``/``delay``/``alive`` columns over store terminal ids, and
+patches those rows in place after each netlist edit;
+:class:`~repro.sta.arraygraph.ArrayKernel` (``sta/arraygraph.py``) sweeps
+the rows with vectorized level passes; :class:`Timer` (``sta/timer.py``)
+owns the seeds, the dirty cones and the queries.
 """
 
 from repro.sta.graph import GraphPatch, TimingGraph
@@ -25,7 +32,6 @@ from repro.sta.timer import (
     TimingAuditError,
     TimingSummary,
 )
-from repro.sta.nldm import LookupTable2D, TimingTables, nldm_arrivals, synthesize_tables
 
 __all__ = [
     "GraphPatch",
@@ -36,8 +42,4 @@ __all__ = [
     "TimingSummary",
     "EndpointSlack",
     "RegisterSlack",
-    "LookupTable2D",
-    "TimingTables",
-    "nldm_arrivals",
-    "synthesize_tables",
 ]

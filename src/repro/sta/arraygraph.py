@@ -1,11 +1,12 @@
 """Array-backed timing kernel: CSR adjacency + vectorized level sweeps.
 
-:class:`ArrayKernel` compiles the object-graph :class:`~repro.sta.graph.
-TimingGraph` into flat numpy arrays — value arrays indexed by terminal id
-(a node's slot *is* its store terminal id, so there is no id map and no
-free list), parallel arc arrays (source, destination, float64 delay), and
-a level-ordered CSR adjacency over the vectorized levels of
-:meth:`~repro.sta.graph.TimingGraph.levels` — and re-expresses
+:class:`ArrayKernel` sweeps the arc rows a
+:class:`~repro.sta.graph.TimingGraph` stores (its ``src``/``dst``/
+``delay``/``alive`` columns).  It owns the value arrays indexed by
+terminal id (a node's slot *is* its store terminal id, so there is no id
+map and no free list) and a level-ordered CSR adjacency over the graph's
+alive rows and vectorized levels
+(:meth:`~repro.sta.graph.TimingGraph.levels`), and re-expresses
 arrival/required propagation as vectorized sweeps over level groups.  It
 is the timer's only propagation engine.  Because ``max``/``min`` are
 order-independent and every candidate is the same ``arrival[src] +
@@ -20,16 +21,12 @@ reference's missing keys: an unreached arrival is ``-inf`` (``-inf +
 delay`` never wins a max), an unconstrained required is ``+inf`` (``+inf -
 delay`` never wins a min), and an unknown min-arrival is ``+inf``.
 
-Incremental edits patch the arc arrays in place from the
-:class:`~repro.sta.graph.GraphPatch`'s exact arc delta — each dropped arc's
-row is *tombstoned* (alive mask cleared; every arc knows its row), each
-added arc is *appended* as a new row, and the arrays are *compacted* once
-the dead fraction crosses :data:`COMPACT_DEAD_FRACTION`.  A patch costs
-its delta, not the fanout of the nodes it touched.  The CSR orderings are
-rebuilt lazily on the next sweep.  Dirty-cone retiming is a masked
-sub-level sweep: dirty slots are bucketed by level, each bucket is
-recomputed in one vectorized gather/segment-reduce, and only the fanout of
-slots whose value actually changed seeds deeper levels.
+After a graph patch the kernel grows its value arrays, clears the slots of
+removed terminals and drops its CSR, which the next sweep rebuilds from
+the graph's rows.  Dirty-cone retiming is a masked sub-level sweep: dirty
+slots are bucketed by level, each bucket is recomputed in one vectorized
+gather/segment-reduce, and only the fanout of slots whose value actually
+changed seeds deeper levels.
 """
 
 from __future__ import annotations
@@ -44,11 +41,6 @@ from repro.sta.graph import GraphPatch, TimingGraph
 
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
-
-#: Compact the arc arrays when tombstoned arcs exceed this fraction.
-COMPACT_DEAD_FRACTION = 0.25
-#: ... but never bother compacting tiny arrays.
-COMPACT_MIN_ARCS = 256
 
 
 @dataclass
@@ -150,7 +142,7 @@ def _concat_ranges(
 
 
 class ArrayKernel:
-    """Flat-array mirror of one :class:`TimingGraph`, with vectorized sweeps.
+    """Vectorized sweeps over one :class:`TimingGraph`'s arc rows.
 
     A node's slot is its terminal id, so the value arrays span the store's
     terminal-id space and grow with it; slots that are not graph nodes hold
@@ -164,30 +156,10 @@ class ArrayKernel:
     def __init__(self, graph: TimingGraph) -> None:
         self.graph = graph
         self._csr: _Csr | None = None
-        with obs.span("sta.kernel.compile", cat="sta") as sp:
-            cap = graph.design.store.tid_space
-            self._arrival = np.full(cap, _NEG_INF)
-            self._required = np.full(cap, _POS_INF)
-            self._arrival_min = np.full(cap, _POS_INF)
-
-            arcs = [a for fo in graph.fanout.values() for a in fo]
-            n = len(arcs)
-            acap = max(n, 16)
-            self._asrc = np.empty(acap, dtype=np.int64)
-            self._adst = np.empty(acap, dtype=np.int64)
-            self._adelay = np.empty(acap, dtype=np.float64)
-            self._aalive = np.zeros(acap, dtype=bool)
-            self._asrc[:n] = np.fromiter((a.src for a in arcs), np.int64, n)
-            self._adst[:n] = np.fromiter((a.dst for a in arcs), np.int64, n)
-            self._adelay[:n] = np.fromiter((a.delay for a in arcs), np.float64, n)
-            self._aalive[:n] = True
-            for row, arc in enumerate(arcs):
-                arc.row = row
-            self._n_arcs = n
-            self._n_dead = 0
-            sp.set(nodes=graph.node_count, arcs=n)
-        reg = obs.get_registry()
-        reg.counter("sta.kernel.compiles").inc()
+        cap = graph.design.store.tid_space
+        self._arrival = np.full(cap, _NEG_INF)
+        self._required = np.full(cap, _POS_INF)
+        self._arrival_min = np.full(cap, _POS_INF)
 
     # -- slots ---------------------------------------------------------------
 
@@ -216,87 +188,18 @@ class ArrayKernel:
         self._required[tids] = _POS_INF
         self._arrival_min[tids] = _POS_INF
 
-    # -- patching ------------------------------------------------------------
-
-    def _append_arc_rows(
-        self, src: list[int], dst: list[int], delay: list[float]
-    ) -> None:
-        k = len(src)
-        if k == 0:
-            return
-        n = self._n_arcs
-        cap = len(self._aalive)
-        if n + k > cap:
-            new_cap = max(n + k, 2 * cap)
-
-            def grown(arr: np.ndarray, fill) -> np.ndarray:
-                out = np.full(new_cap, fill, dtype=arr.dtype)
-                out[:n] = arr[:n]
-                return out
-
-            self._asrc = grown(self._asrc, 0)
-            self._adst = grown(self._adst, 0)
-            self._adelay = grown(self._adelay, 0.0)
-            self._aalive = grown(self._aalive, False)
-        self._asrc[n : n + k] = src
-        self._adst[n : n + k] = dst
-        self._adelay[n : n + k] = delay
-        self._aalive[n : n + k] = True
-        self._n_arcs = n + k
-
     def apply_patch(self, patch: GraphPatch) -> None:
-        """Mirror one :meth:`TimingGraph.apply_change` into the arc arrays.
+        """Follow one :meth:`TimingGraph.apply_change`.
 
-        The patch carries its exact arc delta: the row of every dropped
-        arc is tombstoned and every added arc is appended as a new row, so
-        the alive rows stay the graph's live arc multiset.  The value
-        arrays grow to the store's terminal-id space, and every removed
-        terminal's slot is cleared — also when a cell added in the same
-        edit took over its freed pin slot: the timer popped its dict state
-        too, and the retime reinstates both from the seeds.
+        The value arrays grow to the store's terminal-id space, every
+        removed terminal's slot is cleared — also when a cell added in the
+        same edit took over its freed pin slot: the timer popped its dict
+        state too, and the retime reinstates both from the seeds — and the
+        CSR is rebuilt from the graph's rows on the next sweep.
         """
         self._csr = None
         self._grow_nodes(self.graph.design.store.tid_space)
-        alive = self._aalive
-        for arc in patch.dropped:
-            alive[arc.row] = False
-            arc.row = -1
-        self._n_dead += len(patch.dropped)
         self._clear(list(patch.removed))
-        base = self._n_arcs
-        src: list[int] = []
-        dst: list[int] = []
-        delay: list[float] = []
-        for row, arc in enumerate(patch.added, base):
-            arc.row = row
-            src.append(arc.src)
-            dst.append(arc.dst)
-            delay.append(arc.delay)
-        self._append_arc_rows(src, dst, delay)
-        if (
-            self._n_arcs > COMPACT_MIN_ARCS
-            and self._n_dead > COMPACT_DEAD_FRACTION * self._n_arcs
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        n = self._n_arcs
-        keep = np.nonzero(self._aalive[:n])[0]
-        k = len(keep)
-        self._asrc[:k] = self._asrc[keep]
-        self._adst[:k] = self._adst[keep]
-        self._adelay[:k] = self._adelay[keep]
-        self._aalive[:k] = True
-        self._aalive[k:n] = False
-        remap = np.full(n, -1, dtype=np.int64)
-        remap[keep] = np.arange(k, dtype=np.int64)
-        rows = remap.tolist()
-        for arcs in self.graph.fanout.values():
-            for arc in arcs:
-                arc.row = rows[arc.row]
-        self._n_arcs = k
-        self._n_dead = 0
-        obs.get_registry().counter("sta.kernel.compactions").inc()
 
     # -- CSR -----------------------------------------------------------------
 
@@ -304,11 +207,7 @@ class ArrayKernel:
         if self._csr is not None:
             return self._csr
         level = self.graph.levels()
-        n = self._n_arcs
-        alive_idx = np.nonzero(self._aalive[:n])[0]
-        src = self._asrc[alive_idx]
-        dst = self._adst[alive_idx]
-        delay = self._adelay[alive_idx]
+        src, dst, delay = self.graph.arc_arrays()
         n_slots = len(self._arrival)
 
         dlv = level[dst]

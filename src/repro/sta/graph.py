@@ -24,20 +24,30 @@ is its store terminal id (``tid``: ``pin_slot << 1`` for a pin,
 make no views; :meth:`~repro.netlist.store.NetlistStore.terminal_name`
 names a node.
 
+An arc is a *row* of four columns — ``src``, ``dst``, ``delay`` and
+``alive`` — which the :class:`~repro.sta.arraygraph.ArrayKernel` sweeps
+directly.  Two more row columns chain each node's outgoing and incoming
+rows into lists headed by per-terminal-id arrays, and a per-terminal-id
+count array holds each node's arc ends plus seed roles.  A dropped row goes
+onto a free list and the next added arc reuses it, so rows never move;
+row order changes no value, since every sweep reduces with max/min and
+every output is sorted by name or terminal id.
+
 The graph is *patchable*: :meth:`TimingGraph.apply_change` consumes a
 :class:`~repro.netlist.change.ChangeRecord` and patches only the arcs the
-edit changed — a rewired net that kept its driver keeps the arcs to the
-sinks that stayed, and a moved cell's sink pins have just their own arcs
-re-delayed — returning a :class:`GraphPatch` with the terminal ids whose
-timing became stale and the exact arcs added and dropped.  Ownership
-indexes (`net name -> driver`, `cell name -> arcs/seed pins`) make each
-patch O(edited neighborhood), and node refcounts retire terminals exactly
-when their last arc or seed role disappears — the patched graph matches a
-fresh build arc-for-arc.
+edit changed — a rewired net that kept its driver keeps the rows to the
+sinks that stayed, and a moved cell's sink pins have just their own rows
+re-delayed in place — returning a :class:`GraphPatch` with the terminal
+ids whose timing became stale.  Ownership indexes (`net name -> driver`,
+`cell name -> arc rows/seed pins`) make each patch O(edited
+neighborhood), and node refcounts retire terminals exactly when their last
+arc or seed role disappears — the patched graph matches a fresh build row
+for row (:meth:`TimingGraph.differences`).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,23 +70,6 @@ _INPUT = PinDirection.INPUT
 _COMB_TYPES = (CombCell, ClockBufferCell, ClockGateCell)
 
 
-@dataclass(eq=False, slots=True)
-class TimingArc:
-    """A directed delay edge of the timing graph.
-
-    Arcs compare by identity: two arcs between the same pins are still two
-    arcs, and unlinking one never compares fields.  ``src``/``dst`` are
-    terminal ids; ``row`` is the arc's row in the graph's
-    :class:`~repro.sta.arraygraph.ArrayKernel` mirror (-1 until a kernel
-    compiles it).
-    """
-
-    src: int
-    dst: int
-    delay: float
-    row: int = -1
-
-
 @dataclass
 class GraphPatch:
     """The fallout of one :meth:`TimingGraph.apply_change`.
@@ -88,17 +81,10 @@ class GraphPatch:
     state.  The store recycles a freed pin block for the next cell of the
     same pin count, so a removed id may name a new node again by the end of
     the same patch; its state is stale all the same.
-
-    ``added`` (insertion-ordered keys) and ``dropped`` are the patch's net
-    arc delta: arcs that exist now and did not before, and arcs that
-    existed before and are gone.  An arc added and dropped within one patch
-    appears in neither.  The array kernel mirrors exactly this delta.
     """
 
     dirty: set[int] = field(default_factory=set)
     removed: set[int] = field(default_factory=set)
-    added: dict[TimingArc, bool] = field(default_factory=dict)
-    dropped: list[TimingArc] = field(default_factory=list)
 
 
 @dataclass(frozen=True, slots=True)
@@ -277,24 +263,37 @@ class TimingGraph:
 
     Build is O(pins + nets).  After netlist edits the graph is either
     rebuilt from scratch (:class:`repro.sta.timer.Timer.dirty`) or patched
-    in place via :meth:`apply_change`; both yield identical arcs and seeds.
+    in place via :meth:`apply_change`; both yield the same alive rows,
+    seeds and refcounts.
     """
 
     def __init__(self, design: Design, technology: Technology | None = None) -> None:
         self.design = design
         self.tech = technology or design.library.technology
-        self.fanout: dict[int, list[TimingArc]] = {}
-        self.fanin: dict[int, list[TimingArc]] = {}
-        self._refs: dict[int, int] = {}  # node -> its arc ends + seed roles
+        # One row per arc; dead rows (alive 0) wait on the free list.
+        self.src = array("q")
+        self.dst = array("q")
+        self.delay = array("d")
+        self.alive = array("b")
+        self._free: list[int] = []
+        # Per-node row lists: a head row per terminal id, chained through
+        # the next row with the same source (out) or destination (in).
+        self._next_out = array("q")
+        self._next_in = array("q")
+        self._out_head = array("q")
+        self._in_head = array("q")
+        self._refs = array("i")  # node -> its arc ends + seed roles
+        self._nodes = 0  # terminal ids with a nonzero refcount
+        self._grow(design.store.tid_space)
         self.launch_by_id: dict[int, int] = {}  # Q pin -> register cell id
         self.capture_by_id: dict[int, int] = {}  # D pin -> register cell id
         self.launch_delay: dict[int, float] = {}  # Q pin -> ck->q delay
         self.input_ports: set[int] = set()
         self.output_ports: set[int] = set()
-        # A net's arcs are exactly its driver's fanout: a driver (output pin
-        # or input port) sits on one net and sources no cell arc.
+        # A net's arcs are exactly its driver's out rows: a driver (output
+        # pin or input port) sits on one net and sources no cell arc.
         self._net_driver: dict[str, int] = {}
-        self._cell_arcs: dict[str, list[TimingArc]] = {}
+        self._cell_arcs: dict[str, list[int]] = {}
         self._cell_seeds: dict[str, list[int]] = {}
         self._lib_arcs: dict[int, _LibArcs] = {}
         self._topo: list[int] | None = None
@@ -303,24 +302,72 @@ class TimingGraph:
 
     @property
     def node_count(self) -> int:
-        return len(self._refs)
+        return self._nodes
 
     def contains(self, tid: int) -> bool:
         """True while the id names a live node or seeded terminal."""
-        return tid in self._refs or tid in self.input_ports or tid in self.output_ports
+        return self._refs[tid] > 0 or tid in self.input_ports or tid in self.output_ports
 
     def seed_pins(self, cell_name: str) -> list[int]:
         """The registered D/Q pins of a cell (empty if none connected)."""
         return list(self._cell_seeds.get(cell_name, ()))
 
-    def arc_multiset(self) -> dict[tuple[int, int, float], int]:
-        """``(src, dst, delay) -> count`` over every arc."""
-        counts: dict[tuple[int, int, float], int] = {}
-        for arcs in self.fanout.values():
-            for arc in arcs:
-                key = (arc.src, arc.dst, arc.delay)
-                counts[key] = counts.get(key, 0) + 1
-        return counts
+    def out_rows(self, tid: int):
+        """The alive rows leaving node ``tid``."""
+        nxt = self._next_out
+        row = self._out_head[tid]
+        while row >= 0:
+            yield row
+            row = nxt[row]
+
+    def arc_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(src, dst, delay)`` of the alive rows, as numpy arrays."""
+        rows = np.flatnonzero(np.array(self.alive, dtype=bool))
+        return (
+            np.array(self.src, dtype=np.int64)[rows],
+            np.array(self.dst, dtype=np.int64)[rows],
+            np.array(self.delay, dtype=np.float64)[rows],
+        )
+
+    def differences(self, fresh: "TimingGraph") -> list[tuple[str, str]]:
+        """How this graph differs from ``fresh``, a from-scratch build of
+        the same netlist: ``(part, detail)`` pairs, ``part`` being
+        ``"arcs"`` (the sorted alive ``(src, dst, delay)`` rows),
+        ``"seeds"`` (launch/capture pins, ports and launch delays) or
+        ``"refcounts"``.  Empty when the two agree.
+        """
+        out: list[tuple[str, str]] = []
+        mine, theirs = self.arc_arrays(), fresh.arc_arrays()
+        by_src, fresh_by_src = np.lexsort(mine[::-1]), np.lexsort(theirs[::-1])
+        if not all(
+            np.array_equal(a[by_src], b[fresh_by_src]) for a, b in zip(mine, theirs)
+        ):
+            out.append(
+                ("arcs", f"{len(mine[0])} arcs, a fresh build has {len(theirs[0])}")
+            )
+        for label, live, ref in (
+            ("launch pins", self.launch_by_id, fresh.launch_by_id),
+            ("capture pins", self.capture_by_id, fresh.capture_by_id),
+            ("input ports", self.input_ports, fresh.input_ports),
+            ("output ports", self.output_ports, fresh.output_ports),
+            ("launch delays", self.launch_delay, fresh.launch_delay),
+        ):
+            if live != ref:
+                out.append(("seeds", f"{label} differ ({len(live)} vs {len(ref)})"))
+        n = max(len(self._refs), len(fresh._refs))
+        counts = np.zeros((2, n), dtype=np.int64)
+        counts[0, : len(self._refs)] = self._refs
+        counts[1, : len(fresh._refs)] = fresh._refs
+        diff = np.flatnonzero(counts[0] != counts[1]).tolist()
+        if diff:
+            names = sorted(self.design.store.terminal_name(t) for t in diff)
+            out.append(
+                (
+                    "refcounts",
+                    f"{len(diff)} node refcount(s) differ: " + ", ".join(names[:8]),
+                )
+            )
+        return out
 
     # -- delay model --------------------------------------------------------
 
@@ -346,41 +393,69 @@ class TimingGraph:
             arcs = self._lib_arcs[lid] = _LibArcs.of(rec.libcell, rec.pin_index)
         return arcs
 
-    # -- node/arc bookkeeping ----------------------------------------------
+    # -- node/row bookkeeping ----------------------------------------------
+
+    def _grow(self, tid_space: int) -> None:
+        """Extend the per-terminal-id arrays to ``tid_space`` ids."""
+        k = tid_space - len(self._refs)
+        if k > 0:
+            self._refs.extend(array("i", [0]) * k)
+            self._out_head.extend(array("q", [-1]) * k)
+            self._in_head.extend(array("q", [-1]) * k)
 
     def _ensure(self, t: int) -> None:
-        refs = self._refs.get(t)
-        if refs is None:
-            self._refs[t] = 1
-            self._topo = None
+        refs = self._refs
+        if refs[t]:
+            refs[t] += 1
+        else:
+            refs[t] = 1
+            self._nodes += 1
             if self._levels is not None:
                 self._levels[t] = 0  # a new node has no arcs yet
-        else:
-            self._refs[t] = refs + 1
 
     def _release(self, t: int, patch: GraphPatch) -> None:
-        refs = self._refs.get(t, 0)
+        refs = self._refs[t]
         if refs <= 1:
-            self._refs.pop(t, None)
+            self._nodes -= refs
+            self._refs[t] = 0
             patch.removed.add(t)
-            self._topo = None
         else:
             self._refs[t] = refs - 1
 
-    def _add_arc(
-        self, src: int, dst: int, delay: float, patch: GraphPatch
-    ) -> TimingArc:
-        arc = TimingArc(src, dst, delay)
+    def _add_arc(self, src: int, dst: int, delay: float, patch: GraphPatch) -> int:
+        """Store an arc in a free row, or a new one; returns the row."""
+        if self._free:
+            row = self._free.pop()
+            self.src[row] = src
+            self.dst[row] = dst
+            self.delay[row] = delay
+            self.alive[row] = 1
+            self._next_out[row] = self._out_head[src]
+            self._next_in[row] = self._in_head[dst]
+        else:
+            row = len(self.src)
+            self.src.append(src)
+            self.dst.append(dst)
+            self.delay.append(delay)
+            self.alive.append(1)
+            self._next_out.append(self._out_head[src])
+            self._next_in.append(self._in_head[dst])
+        self._out_head[src] = row
+        self._in_head[dst] = row
         self._ensure(src)
         self._ensure(dst)
-        self.fanout.setdefault(src, []).append(arc)
-        self.fanin.setdefault(dst, []).append(arc)
         patch.dirty.add(src)
         patch.dirty.add(dst)
-        patch.added[arc] = True
-        self._topo = None
-        self._bump_level(src, dst)
-        return arc
+        if self._levels is not None:
+            self._bump_level(src, dst)
+        return row
+
+    def _redelay(self, row: int, delay: float, patch: GraphPatch) -> None:
+        """Give an arc a new delay in its own row (a no-op when bit-equal)."""
+        if self.delay[row] != delay:
+            self.delay[row] = delay
+            patch.dirty.add(self.src[row])
+            patch.dirty.add(self.dst[row])
 
     def _bump_level(self, src: int, dst: int) -> None:
         """Restore the level invariant after inserting arc src -> dst.
@@ -396,14 +471,13 @@ class TimingGraph:
         levelization is where real loops get diagnosed.
         """
         lv = self._levels
-        if lv is None:
-            return
         ls = lv[src]
         if lv[dst] > ls:
             return
         lv[dst] = ls + 1
         stack = [dst]
-        budget = 4 * len(self._refs) + 64
+        budget = 4 * self._nodes + 64
+        dsts = self.dst
         while stack:
             budget -= 1
             if budget < 0:
@@ -411,37 +485,49 @@ class TimingGraph:
                 return
             n = stack.pop()
             base = lv[n] + 1
-            for arc in self.fanout.get(n, ()):
-                if lv[arc.dst] < base:
-                    lv[arc.dst] = base
-                    stack.append(arc.dst)
+            for row in self.out_rows(n):
+                d = dsts[row]
+                if lv[d] < base:
+                    lv[d] = base
+                    stack.append(d)
 
-    def _unlink_from(self, src: int, arcs: list[TimingArc], patch: GraphPatch) -> None:
-        """Unlink arcs that all leave ``src``, in one pass over its fanout."""
-        if not arcs:
-            return
-        fo = self.fanout[src]
-        if len(arcs) == 1:
-            fo.remove(arcs[0])
+    def _drop_rows(self, src: int, gone: set[int] | None, patch: GraphPatch) -> None:
+        """Drop rows leaving ``src`` — those in ``gone``, or all of them
+        when it is ``None`` — in one pass over its out-list."""
+        nxt = self._next_out
+        prev = -1
+        row = self._out_head[src]
+        while row >= 0:
+            after = nxt[row]
+            if gone is None or row in gone:
+                if prev < 0:
+                    self._out_head[src] = after
+                else:
+                    nxt[prev] = after
+                self._free_row(row, src, patch)
+            else:
+                prev = row
+            row = after
+
+    def _free_row(self, row: int, src: int, patch: GraphPatch) -> None:
+        """Unlink a row from its destination's in-list (a short list: a
+        sink pin has one net arc, an output pin one arc per cell input)
+        and put it on the free list."""
+        dst = self.dst[row]
+        nxt = self._next_in
+        r = self._in_head[dst]
+        if r == row:
+            self._in_head[dst] = nxt[row]
         else:
-            gone = set(arcs)
-            fo[:] = [a for a in fo if a not in gone]
-        if not fo:
-            del self.fanout[src]
+            while nxt[r] != row:
+                r = nxt[r]
+            nxt[r] = nxt[row]
+        self.alive[row] = 0
+        self._free.append(row)
         patch.dirty.add(src)
-        for arc in arcs:
-            dst = arc.dst
-            fi = self.fanin[dst]
-            fi.remove(arc)
-            if not fi:
-                del self.fanin[dst]
-            patch.dirty.add(dst)
-            # An arc added earlier in this same patch nets out of the delta.
-            if not patch.added.pop(arc, False):
-                patch.dropped.append(arc)
-            self._release(src, patch)
-            self._release(dst, patch)
-        self._topo = None
+        patch.dirty.add(dst)
+        self._release(src, patch)
+        self._release(dst, patch)
 
     # -- construction -------------------------------------------------------
 
@@ -477,54 +563,50 @@ class TimingGraph:
         driver = self._net_driver.pop(name, None)
         if driver is None:
             return
-        self._unlink_from(driver, list(self.fanout.get(driver, ())), patch)
+        self._drop_rows(driver, None, patch)
         patch.dirty.add(driver)
         self._release(driver, patch)
 
     def _patch_sinks(self, walk: _NetWalk, patch: GraphPatch) -> None:
         """Bring a rewired net whose driver stayed up to date, sink by sink.
 
-        An arc to a sink that stayed, with a bit-equal delay, is kept; an
-        arc to a sink that left is dropped, and a sink that arrived (or
-        whose delay changed) gets a new arc.  New arcs are linked before
-        stale ones are unlinked, so a re-delayed sink never leaves the
-        graph and keeps its cached timing.
+        The row to a sink that stayed is kept and re-delayed in place; the
+        row to a sink that left is dropped, and a sink that arrived gets a
+        new row.  A sink that stayed never leaves the graph and keeps its
+        cached timing.
         """
         driver = walk.driver
-        old = list(self.fanout.get(driver, ()))
-        kept: set[TimingArc] = set()
-        fanin = self.fanin
+        dsts = self.dst
+        old = {dsts[row]: row for row in self.out_rows(driver)}
         x, y = walk.x, walk.y
         for tid, sx, sy in walk.sinks:
             delay = self._wire_delay(x, y, sx, sy)
-            for arc in fanin.get(tid, ()):
-                if arc.src == driver and arc.delay == delay:
-                    kept.add(arc)
-                    break
-            else:
+            row = old.pop(tid, None)
+            if row is None:
                 self._add_arc(driver, tid, delay, patch)
-        self._unlink_from(driver, [a for a in old if a not in kept], patch)
+            else:
+                self._redelay(row, delay, patch)
+        if old:
+            self._drop_rows(driver, set(old.values()), patch)
 
     def _redelay_sink(
         self, driver: int, pin: int, reader: _NetReader, patch: GraphPatch
     ) -> None:
         """Re-derive the wire delay of the one arc into a moved sink pin.
 
-        The arc is found through the pin's fanin, and kept when its delay
-        is bit-equal.  Otherwise the new arc is linked before the old one
-        is unlinked, so the sink never drops to zero references: it stays
-        in the graph, keeps its cached timing, and only the arc's two
-        endpoints are dirtied.  A moved pin that is no sink of the net (a
-        second output pin on it) has no arc to re-delay.
+        The row is found through the pin's in-list and re-delayed in
+        place, so the sink stays in the graph, keeps its cached timing,
+        and only the arc's two endpoints are dirtied.  A moved pin that is
+        no sink of the net (a second output pin on it) has no arc to
+        re-delay.
         """
-        for old in self.fanin.get(pin, ()):
-            if old.src == driver:
+        row = self._in_head[pin]
+        while row >= 0:
+            if self.src[row] == driver:
                 xy = reader.store.terminal_xy
-                delay = self._wire_delay(*xy(driver), *xy(pin))
-                if delay != old.delay:
-                    self._add_arc(driver, pin, delay, patch)
-                    self._unlink_from(driver, [old], patch)
+                self._redelay(row, self._wire_delay(*xy(driver), *xy(pin)), patch)
                 return
+            row = self._next_in[row]
 
     def _add_cell_entries(
         self, name: str, cid: int, reader: _NetReader, patch: GraphPatch
@@ -539,7 +621,7 @@ class TimingGraph:
         self, name: str, cid: int, lib: _LibArcs, reader: _NetReader, patch: GraphPatch
     ) -> None:
         pin0 = reader.cell_pin0(cid)
-        arcs: list[TimingArc] = []
+        rows: list[int] = []
         for o in lib.outputs:
             onet = reader.pin_net(pin0 + o)
             if not reader.is_data_net(onet):
@@ -547,12 +629,11 @@ class TimingGraph:
             delay = lib.libcell.delay(reader.load(onet))
             for i in lib.inputs:
                 if reader.is_data_net(reader.pin_net(pin0 + i)):
-                    arcs.append(
+                    rows.append(
                         self._add_arc((pin0 + i) << 1, (pin0 + o) << 1, delay, patch)
                     )
-        if arcs:
-            self._cell_arcs[name] = arcs
-
+        if rows:
+            self._cell_arcs[name] = rows
     def _register_entries(
         self, name: str, cid: int, lib: _LibArcs, reader: _NetReader, patch: GraphPatch
     ) -> None:
@@ -581,8 +662,11 @@ class TimingGraph:
             self._cell_seeds[name] = seeds
 
     def _drop_cell_entries(self, name: str, patch: GraphPatch) -> None:
-        for arc in self._cell_arcs.pop(name, ()):
-            self._unlink_from(arc.src, [arc], patch)
+        rows = self._cell_arcs.pop(name, None)
+        if rows:
+            gone = set(rows)
+            for src in dict.fromkeys(self.src[row] for row in rows):
+                self._drop_rows(src, gone, patch)
         for t in self._cell_seeds.pop(name, ()):
             patch.dirty.add(t)
             self.capture_by_id.pop(t, None)
@@ -611,20 +695,21 @@ class TimingGraph:
         """Patch the graph after a netlist edit, in place.
 
         Only arcs the edit changed are touched.  A rewired net — or a net
-        a moved cell drives — is re-walked: if its driver stayed, arcs to
-        sinks that stayed with a bit-equal delay are kept, arcs to departed
-        sinks are dropped and new sinks get arcs; a new driver rebuilds the
-        net.  On a net a moved cell only sinks, just the arcs into its pins
-        are re-delayed.  Cells the edit added, touched, resized or moved
+        a moved cell drives — is re-walked: if its driver stayed, rows to
+        sinks that stayed are kept and re-delayed in place, rows to
+        departed sinks are dropped and new sinks get rows; a new driver
+        rebuilds the net.  On a net a moved cell only sinks, just the rows
+        into its pins are re-delayed.  Cells the edit added, touched, resized or moved
         get their cell arcs and seeds rebuilt, and drivers of rewired nets
         and of nets with a moved sink have their delay model refreshed
         (their load changed even when their own connectivity did not).
-        Returns the :class:`GraphPatch` seeding the timer's dirty cones and
-        carrying the exact arc delta.
+        Returns the :class:`GraphPatch` seeding the timer's dirty cones.
         """
         patch = GraphPatch()
         store = self.design.store
         reader = self._reader()
+        self._topo = None
+        self._grow(store.tid_space)
         lv = self._levels
         if lv is not None and len(lv) < store.tid_space:
             self._levels = np.zeros(max(store.tid_space, 2 * len(lv)), dtype=np.int64)
@@ -756,23 +841,25 @@ class TimingGraph:
     # -- topology --------------------------------------------------------------
 
     def topological_order(self) -> list[int]:
-        """Kahn topological order over all graph nodes (cached): the
-        reference sweeps' order."""
+        """Kahn topological order over all graph nodes (cached until the
+        next patch): the reference sweeps' order."""
         if self._topo is not None:
             return self._topo
-        indeg = dict.fromkeys(self._refs, 0)
-        for arcs in self.fanout.values():
-            for arc in arcs:
-                indeg[arc.dst] += 1
+        dsts = self.dst
+        indeg = dict.fromkeys(np.flatnonzero(np.array(self._refs)).tolist(), 0)
+        for row, alive in enumerate(self.alive):
+            if alive:
+                indeg[dsts[row]] += 1
         ready = [t for t, d in indeg.items() if d == 0]
         order: list[int] = []
         while ready:
             t = ready.pop()
             order.append(t)
-            for arc in self.fanout.get(t, ()):
-                indeg[arc.dst] -= 1
-                if indeg[arc.dst] == 0:
-                    ready.append(arc.dst)
+            for row in self.out_rows(t):
+                d = dsts[row]
+                indeg[d] -= 1
+                if indeg[d] == 0:
+                    ready.append(d)
         if len(order) != len(indeg):
             raise ValueError(
                 "combinational loop detected: "
@@ -791,8 +878,6 @@ class TimingGraph:
         patches by :meth:`_bump_level`.
         """
         if self._levels is None:
-            arcs = [a for fo in self.fanout.values() for a in fo]
-            src = np.fromiter((a.src for a in arcs), np.int64, len(arcs))
-            dst = np.fromiter((a.dst for a in arcs), np.int64, len(arcs))
+            src, dst, _ = self.arc_arrays()
             self._levels = _levelize(src, dst, self.design.store.tid_space)
         return self._levels

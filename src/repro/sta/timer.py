@@ -10,8 +10,11 @@ Every propagation, full or incremental, runs through the vectorized
 recomputes each node with exactly the same arithmetic as a full pass,
 results are bit-identical; ``REPRO_STA_AUDIT=1`` (or ``Timer.audit_mode``)
 shadow-checks that equivalence after every patch by rebuilding the graph
-from scratch and re-propagating it with the plain-Python reference sweeps
-(:meth:`Timer._full_state`, :meth:`Timer._min_arrivals`).
+from scratch, comparing it with the patched one
+(:meth:`~repro.sta.graph.TimingGraph.differences`: arc rows, seeds and
+refcounts), and re-propagating it with the plain-Python reference sweeps
+(:meth:`Timer._full_state`, :meth:`Timer._min_arrivals`), which walk the
+same arc rows the kernel sweeps.
 :meth:`Timer.dirty` remains the blanket full-rebuild fallback.
 
 State is keyed by store terminal id, like the graph: queries take a
@@ -339,14 +342,15 @@ class Timer:
         for port in g.input_ports:
             st.arrival[port] = self.input_delay
 
+        dsts, delays = g.dst, g.delay
         for node in g.topological_order():
             a = st.arrival.get(node, _NEG_INF)
             if a == _NEG_INF:
                 continue
-            for arc in g.fanout.get(node, ()):
-                cand = a + arc.delay
-                if cand > st.arrival.get(arc.dst, _NEG_INF):
-                    st.arrival[arc.dst] = cand
+            for row in g.out_rows(node):
+                cand = a + delays[row]
+                if cand > st.arrival.get(dsts[row], _NEG_INF):
+                    st.arrival[dsts[row]] = cand
 
         # Backward: required times.
         for d, cid in g.capture_by_id.items():
@@ -356,10 +360,10 @@ class Timer:
 
         for node in reversed(g.topological_order()):
             r = st.required.get(node, _POS_INF)
-            for arc in g.fanout.get(node, ()):
-                r_dst = st.required.get(arc.dst, _POS_INF)
+            for row in g.out_rows(node):
+                r_dst = st.required.get(dsts[row], _POS_INF)
                 if r_dst != _POS_INF:
-                    r = min(r, r_dst - arc.delay)
+                    r = min(r, r_dst - delays[row])
             if r != _POS_INF:
                 st.required[node] = r
 
@@ -457,18 +461,7 @@ class Timer:
     def _audit(self, g: TimingGraph) -> None:
         """Shadow-run a from-scratch build+propagation and assert equality."""
         fresh = TimingGraph(self.design, self.tech)
-        mismatches = [
-            label
-            for label, live, ref in (
-                ("arc set", g.arc_multiset(), fresh.arc_multiset()),
-                ("launch delays", g.launch_delay, fresh.launch_delay),
-                ("launch pins", g.launch_by_id, fresh.launch_by_id),
-                ("capture pins", g.capture_by_id, fresh.capture_by_id),
-                ("input ports", g.input_ports, fresh.input_ports),
-                ("output ports", g.output_ports, fresh.output_ports),
-            )
-            if live != ref
-        ]
+        mismatches = [detail for _, detail in g.differences(fresh)]
 
         st = self._state
         assert st is not None
@@ -537,15 +530,16 @@ class Timer:
             arrival_min[q] = self._launch(g, q, cid)
         for port in g.input_ports:
             arrival_min[port] = self.input_delay
+        dsts, delays = g.dst, g.delay
         for node in g.topological_order():
             a = arrival_min.get(node)
             if a is None:
                 continue
-            for arc in g.fanout.get(node, ()):
-                cand = a + arc.delay
-                prev = arrival_min.get(arc.dst)
+            for row in g.out_rows(node):
+                cand = a + delays[row]
+                prev = arrival_min.get(dsts[row])
                 if prev is None or cand < prev:
-                    arrival_min[arc.dst] = cand
+                    arrival_min[dsts[row]] = cand
         return arrival_min
 
     def _compute_min_arrivals(self) -> dict[int, float]:

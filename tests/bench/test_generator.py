@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import BenchmarkSpec, generate_design, preset, PRESETS
+from repro.bench import generate_design, preset, PRESETS
 from repro.bench.generator import _snap_to_grid
 from repro.check.invariants import check_design
 from repro.geometry import Point, Rect

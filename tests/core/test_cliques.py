@@ -1,7 +1,6 @@
 """Tests for Bron-Kerbosch and sub-clique enumeration."""
 
 import networkx as nx
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cliques import enumerate_maximal_cliques, enumerate_subcliques

@@ -14,7 +14,7 @@ from repro.core.compatibility import (
     scan_compatible,
     timing_compatible,
 )
-from repro.geometry import Point, Rect
+from repro.geometry import Point
 from repro.library.functional import DFF, DFF_R
 from repro.scan import ScanChain, ScanModel
 from repro.sta import Timer

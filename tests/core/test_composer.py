@@ -120,8 +120,6 @@ class TestComposeBundle:
     """End-to-end on a generated 'industrial' design."""
 
     def test_netlist_stays_valid(self, lib, small_bundle):
-        import copy
-
         b = generate_design(preset("D1", scale=0.12), lib)
         assert not _errors(b.design)
         compose_design(b.design, b.timer, b.scan_model)

@@ -1,6 +1,5 @@
 """Tests for compatibility-graph construction and K-partitioning."""
 
-import networkx as nx
 import pytest
 
 from repro.core.compatibility import CompatibilityConfig, analyze_registers

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.compatibility import RegisterInfo
 from repro.core.weights import RegisterField, blocking_registers, candidate_weight
-from repro.geometry import Point, Rect
+from repro.geometry import Rect
 from repro.library.functional import DFF_R
 
 
@@ -121,7 +121,7 @@ class TestWindowEnumeration:
         assert 6 in sums  # 6 bits -> incomplete 8
 
     def test_large_clique_candidates_stay_quadratic(self, lib):
-        from repro.core.candidates import CandidateConfig, enumerate_candidates
+        from repro.core.candidates import enumerate_candidates
         from repro.core.compatibility import analyze_registers
         from repro.core.graph import build_compatibility_graph
         from repro.sta import Timer

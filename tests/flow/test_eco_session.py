@@ -14,8 +14,6 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
-import pytest
-
 from repro.bench import generate_design, preset
 from repro.check import (
     assert_clean,

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.geometry import FeasibleRegion, Point, Rect
+from repro.geometry import FeasibleRegion, Rect
 from repro.geometry.region import SlackToDistance, common_region
 
 

@@ -8,7 +8,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.ilp import LPStatus, scipy_available, simplex, solve_lp, solve_lp_scipy
 
@@ -109,26 +109,43 @@ class TestBasics:
         assert res.ok and res.objective == pytest.approx(-2.0)
 
 
+@st.composite
+def _box_lps(draw):
+    """``(c, A_ub, b_ub)`` of a random LP over the box ``[0, 10]^n``."""
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(1, 5))
+    coef = st.floats(min_value=-5, max_value=5, allow_nan=False)
+    c = draw(st.lists(coef, min_size=n, max_size=n))
+    A = [draw(st.lists(coef, min_size=n, max_size=n)) for _ in range(m)]
+    b = draw(st.lists(st.floats(min_value=0.1, max_value=10), min_size=m, max_size=m))
+    return c, A, b
+
+
 class TestAgainstScipy:
     @settings(max_examples=60, deadline=None)
-    @given(st.data())
+    @given(lp=_box_lps())
+    # HiGHS's dual tolerance absorbs the 1e-7 cost: it stops at x1 = 10
+    # (-19.999999), 1e-6 above the exact optimum -20.0 (x1 = 0).
+    @example(lp=([-2.0, 1e-07, 0.0, 0.0], [[0.0, -1.0, 0.0, 1.0]], [1.0]))
     @needs_scipy
-    def test_random_lps_match_highs(self, data):
-        n = data.draw(st.integers(2, 5))
-        m = data.draw(st.integers(1, 5))
-        coef = st.floats(min_value=-5, max_value=5, allow_nan=False)
-        c = data.draw(st.lists(coef, min_size=n, max_size=n))
-        A = [data.draw(st.lists(coef, min_size=n, max_size=n)) for _ in range(m)]
-        b = data.draw(st.lists(st.floats(min_value=0.1, max_value=10), min_size=m, max_size=m))
+    def test_random_lps_match_highs(self, lp):
+        c, A, b = lp
+        n = len(c)
         bounds = [(0.0, 10.0)] * n  # box keeps everything bounded/feasible
 
         ours = solve_lp(c, A_ub=A, b_ub=b, bounds=bounds)
         ref = solve_lp_scipy(c, A_ub=A, b_ub=b, bounds=bounds)
         assert ours.status == ref.status
         if ours.ok:
-            assert ours.objective == pytest.approx(ref.objective, abs=1e-6)
-            # Our solution must satisfy the constraints.
-            assert np.all(np.asarray(A) @ ours.x <= np.asarray(b) + 1e-6)
+            # HiGHS answers within its tolerances, so it is no exact
+            # reference: hold ours to optimality instead.  A feasible x
+            # whose objective is c @ x cannot beat the true optimum, and
+            # must not lose to the reference by more than 1e-6.
+            x = ours.x
+            assert np.all((x >= -1e-9) & (x <= 10.0 + 1e-9))
+            assert np.all(np.asarray(A) @ x <= np.asarray(b) + 1e-9)
+            assert ours.objective == float(np.asarray(c) @ x)
+            assert ours.objective <= ref.objective + 1e-6
 
     @needs_scipy
     def test_random_lps_match_highs_on_seed_3(self):

@@ -12,7 +12,6 @@ from repro.io import (
     write_liberty,
     write_verilog,
 )
-from repro.library import default_library
 from repro.library.cells import RegisterCell
 from repro.placement import design_hpwl
 from repro.sta import Timer

@@ -4,11 +4,10 @@ import pytest
 
 from repro.library import (
     CellLibrary,
-    RegisterCell,
     ScanStyle,
     default_library,
 )
-from repro.library.functional import DFF_R, DFF_R_S, DFF_S, LAT, FunctionalClass, ResetKind
+from repro.library.functional import DFF_R, DFF_R_S, LAT, FunctionalClass, ResetKind
 
 
 @pytest.fixture(scope="module")

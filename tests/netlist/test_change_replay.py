@@ -27,10 +27,11 @@ def _key(graph: TimingGraph, tid: int) -> str:
 
 
 def _arcs(graph: TimingGraph):
+    src, dst, delay = graph.src, graph.dst, graph.delay
     return sorted(
-        (_key(graph, arc.src), _key(graph, arc.dst), arc.delay)
-        for arcs in graph.fanout.values()
-        for arc in arcs
+        (_key(graph, src[row]), _key(graph, dst[row]), delay[row])
+        for row, alive in enumerate(graph.alive)
+        if alive
     )
 
 
